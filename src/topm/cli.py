@@ -203,7 +203,7 @@ def _cmd_table3(args) -> int:
     res = complexity_fraction_experiment(args.K, args.N, args.D, args.reps,
                                          args.seed, workers=args.workers)
     print(f"fraction = {res.fraction:.4f} ({res.wins} wins, "
-          f"{res.skips} skips, {res.reps} reps)")
+          f"{res.skips} skips, {res.reps} reps, {res.lps} design LPs)")
     return EXIT_OK
 
 

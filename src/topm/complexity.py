@@ -95,6 +95,32 @@ def _guard_gaps(gaps, epsilon: float) -> None:
             )
 
 
+def _design_maxima(xmat, gaps, epsilon: float, by_denominator: bool = False):
+    """Running per-arm maxima of |w*(i, j)_a| / d_ij^2 over the arm pairs.
+
+    Solves one design LP per pair and yields the maxima after each solve (the
+    same array, updated in place).  |w*| and d_ij are symmetric in (i, j), so
+    the pairs i < j cover both orders.  Pairs go in (i, j) order, or smallest
+    d_ij first (ties in (i, j) order) when by_denominator is set.
+    """
+    k = gaps.shape[0]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    den = {(i, j): max(epsilon, (epsilon + gaps[i]) / 3.0,
+                       (epsilon + gaps[j]) / 3.0) for i, j in pairs}
+    if by_denominator:
+        pairs.sort(key=den.__getitem__)
+    best = np.zeros(k)
+    for i, j in pairs:
+        status, w, _ = kernels.simplex_l1(xmat, xmat[:, i] - xmat[:, j], 1e-9)
+        if status != kernels.SIMPLEX_OK:
+            raise InfeasibleDesign(
+                f"design system for pair ({i}, {j}) is infeasible"
+            )
+        # fmax, like a strict scalar max, passes over NaN entries
+        np.fmax(best, np.abs(w) / den[i, j]**2, out=best)
+        yield best
+
+
 def h_constant(kind: str, instance, m: int, epsilon: float = 0.0,
                sigma: Optional[float] = None, *,
                threshold_spec: Optional[ThresholdSpec] = None,
@@ -138,26 +164,8 @@ def h_constant(kind: str, instance, m: int, epsilon: float = 0.0,
                 "the design-based constant needs an instance with features"
             )
         xmat = np.ascontiguousarray(features, dtype=np.float64)
-        wstar, wl1, wok = kernels.all_pair_designs(xmat, 1e-9)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if wok[i, j] != 1:
-                    raise InfeasibleDesign(
-                        f"design system for pair ({i}, {j}) is infeasible"
-                    )
-        # max over ordered pairs; |w*| and the denominator are symmetric, so
-        # scanning i < j covers both orders
-        for a in range(k):
-            best = 0.0
-            for i in range(k):
-                for j in range(i + 1, k):
-                    d = max(epsilon, (epsilon + gaps[i]) / 3.0,
-                            (epsilon + gaps[j]) / 3.0)
-                    val = abs(wstar[i, j, a]) / d**2
-                    if val > best:
-                        best = val
-            terms[a] = sigma**2 * best
-
+        *_, best = _design_maxima(xmat, gaps, epsilon)  # all pairs solved
+        terms = sigma**2 * best
     h = float(terms @ np.ones(k))
     bound = None
     if threshold_spec is not None:
@@ -205,14 +213,44 @@ def sample_complexity_bound(H: float, threshold_spec: ThresholdSpec,
     return int(hi)
 
 
+# relative margin that keeps the early loss decision clear of the rounding
+# in the partial sums; inside it the rep is decided on the full constant
+_CUT_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class FractionResult:
-    """Outcome of the random-instance constant comparison."""
+    """Outcome of the random-instance constant comparison.
+
+    lps counts the design LPs solved, summed over reps.
+    """
 
     fraction: float
     wins: int
     skips: int
     reps: int
+    lps: int
+
+
+def _fraction_outcome(instance, m: int) -> tuple:
+    """(outcome, design LPs solved) of H(m-lingape-2) <= H(ugape) at
+    epsilon = 0 and sigma = 1; outcome 1 is a win, 0 a loss, -1 a skip."""
+    solved = 0
+    try:
+        hu = h_constant(H_UGAPE, instance, m, 0.0, 1.0).H
+        cut = hu * (1.0 + _CUT_SLACK)
+        xmat = np.ascontiguousarray(instance.features, dtype=np.float64)
+        for best in _design_maxima(xmat, gap_profile(instance, m).gaps, 0.0,
+                                   by_denominator=True):
+            solved += 1
+            if best.sum() > cut:
+                return 0, solved
+    except ConfigError:
+        return -1, solved
+    except InfeasibleDesign:
+        return -1, solved + 1
+    h2 = float(best @ np.ones(best.shape[0]))  # sigma = 1, as in h_constant
+    return (1 if h2 <= hu else 0), solved
 
 
 def complexity_fraction_experiment(K: int, N: int, D: float, reps: int,
@@ -225,29 +263,35 @@ def complexity_fraction_experiment(K: int, N: int, D: float, reps: int,
     are evaluated on the common unit-variance scale (sigma = 1): the ugape
     constant carries no sigma factor because its sigma lives inside the
     classical confidence width, so scaling the design constant by any other
-    sigma^2 would just shift the comparison by that factor.  Instances with
-    an infeasible design system or a degenerate gap are skipped and tallied.
+    sigma^2 would just shift the comparison by that factor.
+
+    Each per-arm term of H(m-lingape-2) is a max over pairs, so after any
+    subset of the design LPs the sum of the running maxima bounds it from
+    below.  The LPs go smallest denominator first, and a rep stops as a
+    loss once that bound exceeds H(ugape) (1 + 1e-9); a rep that never
+    crosses solves every pair and compares the full constant.  Instances
+    with a degenerate gap or a design LP that fails are skipped and
+    tallied; since x_i - x_j always lies in the feature span, only a
+    numerical failure of the simplex fails a design LP, and one among the
+    pairs an early loss never reaches leaves the rep a loss, not a skip.
     """
     if reps < 1:
         raise ConfigError("reps must be >= 1")
     m = K // 3 + 1
 
-    def one(rep: int) -> int:
+    def one(rep: int) -> tuple:
         inst = make_random_unit_instance(K, N, D, seed=(seed, rep), sigma=0.5)
-        try:
-            h2 = h_constant(H_MLINGAPE_2, inst, m, 0.0, 1.0).H
-            hu = h_constant(H_UGAPE, inst, m, 0.0, 1.0).H
-        except (InfeasibleDesign, ConfigError):
-            return -1
-        return 1 if h2 <= hu else 0
+        return _fraction_outcome(inst, m)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, range(reps)))
     else:
         outcomes = [one(rep) for rep in range(reps)]
-    wins = outcomes.count(1)
-    skips = outcomes.count(-1)
+    decided = [o for o, _ in outcomes]
+    wins = decided.count(1)
+    skips = decided.count(-1)
     valid = reps - skips
     fraction = wins / valid if valid > 0 else 0.0
-    return FractionResult(fraction=fraction, wins=wins, skips=skips, reps=reps)
+    return FractionResult(fraction=fraction, wins=wins, skips=skips, reps=reps,
+                          lps=sum(n for _, n in outcomes))

@@ -402,8 +402,9 @@ def _resolve_threshold(spec: AlgorithmSpec, threshold_kind: Optional[str],
 
 def _reward_from_noise(u: float, arm: int, law: int, mu_arms, table,
                        table_len, sigma: float) -> float:
-    # mirror of the kernel's reward formula, used only for documentation and
-    # tests; the reference loop routes pulls through kernels.apply_pull
+    # a copy of the reward formula in kernels.apply_pull: _init_state draws
+    # every init-pass reward through it, and every later pull of both loops
+    # goes through apply_pull
     if law == kernels.LAW_GAUSSIAN:
         return mu_arms[arm] + sigma * u
     idx = int(u * table_len[arm])

@@ -7,15 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from topm.complexity import (H_KINDS, H_LUCB, H_MLINGAPE_1, H_MLINGAPE_2,
-                             H_UGAPE, complexity_fraction_experiment,
-                             h_constant, sample_complexity_bound,
-                             solve_l1_design)
+from topm.complexity import (_CUT_SLACK, H_KINDS, H_LUCB, H_MLINGAPE_1,
+                             H_MLINGAPE_2, H_UGAPE, _fraction_outcome,
+                             complexity_fraction_experiment, h_constant,
+                             sample_complexity_bound, solve_l1_design)
 from topm.engine import pair_designs
 from topm.errors import BoundOverflow, ConfigError
 from topm.indices import ThresholdSpec, threshold
-from topm.instances import (gap_profile, make_canonical_instance,
-                            make_classic_instance)
+from topm.instances import (Instance, gap_profile, make_canonical_instance,
+                            make_classic_instance, make_random_unit_instance)
 
 COS = math.cos(math.pi / 6.0)
 
@@ -271,3 +271,74 @@ def test_fraction_experiment_is_deterministic_across_workers():
     assert serial.wins <= serial.reps - serial.skips
     with pytest.raises(ConfigError):
         complexity_fraction_experiment(6, 2, 0.3, reps=0, seed=3)
+
+
+def test_fraction_lp_count_is_deterministic_and_bounded():
+    serial = complexity_fraction_experiment(10, 5, 0.25, reps=24, seed=3)
+    threaded = complexity_fraction_experiment(10, 5, 0.25, reps=24, seed=3,
+                                              workers=4)
+    assert serial.lps == threaded.lps
+    assert 24 <= serial.lps <= 24 * 45
+
+
+def _full_comparison(inst, m):
+    h2 = h_constant(H_MLINGAPE_2, inst, m, 0.0, 1.0).H
+    hu = h_constant(H_UGAPE, inst, m, 0.0, 1.0).H
+    return h2, hu
+
+
+@pytest.mark.parametrize("K,N,reps", [(10, 5, 200), (10, 10, 200), (20, 10, 20)])
+def test_fraction_decision_equals_full_comparison(K, N, reps):
+    """Each rep's early-exit decision is H(m-lingape-2) <= H(ugape) computed
+    in full, on the reps of the acceptance cells."""
+    m = K // 3 + 1
+    pairs = K * (K - 1) // 2
+    lps = 0
+    for rep in range(reps):
+        inst = make_random_unit_instance(K, N, 0.25, seed=(0, rep), sigma=0.5)
+        h2, hu = _full_comparison(inst, m)
+        outcome, solved = _fraction_outcome(inst, m)
+        assert outcome == int(h2 <= hu), rep
+        assert 1 <= solved <= pairs
+        if h2 <= hu:
+            assert solved == pairs
+        lps += solved
+    assert lps < reps * pairs  # the early exit was taken
+
+
+def test_fraction_decision_exact_at_near_ties():
+    """Explicit means let the worst arm's mean move both constants while the
+    designs stay fixed, so bisecting it brackets H(m-lingape-2) =
+    H(ugape) * (1 + rel) to the last bit.  At rel = 0 the running bound never
+    crosses the cut and the full constants decide; at rel = 2e-9, just past
+    the cut, it crosses only at the last pair, which on this instance
+    (seed 46) raises a per-arm maximum."""
+    k, n, m = 5, 2, 2
+    rng = np.random.default_rng(46)
+    features = rng.normal(size=(n, k))
+    features /= np.linalg.norm(features, axis=0)
+    mu_top = np.sort(rng.uniform(0.5, 1.0, size=k - 1))[::-1]
+
+    def make(worst):
+        return Instance(features, 0.5, mu=np.append(mu_top, worst))
+
+    def bracket(rel):
+        lo, hi = mu_top[-1] - 3.0, mu_top[-1] - 1e-3
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            h2, hu = _full_comparison(make(mid), m)
+            if h2 <= hu * (1.0 + rel):
+                lo = mid
+            else:
+                hi = mid
+        return make(lo), make(hi)
+
+    tie_below, tie_above = bracket(0.0)
+    cut_below, cut_above = bracket(2e-9)
+    for inst in (tie_below, tie_above, cut_below, cut_above):
+        h2, hu = _full_comparison(inst, m)
+        assert _fraction_outcome(inst, m) == (int(h2 <= hu), 10)
+    assert _fraction_outcome(tie_below, m)[0] == 1
+    assert _fraction_outcome(tie_above, m)[0] == 0
+    h2, hu = _full_comparison(cut_above, m)
+    assert h2 > hu * (1.0 + _CUT_SLACK)  # so the bound crossed, at pair 10
