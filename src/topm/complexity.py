@@ -28,6 +28,7 @@ H_MLINGAPE_2 = "m-lingape-2"
 H_KINDS = (H_LUCB, H_UGAPE, H_MLINGAPE_1, H_MLINGAPE_2)
 
 _RESIDUAL_TOL = 1e-8
+_DESIGN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,14 @@ def _guard_gaps(gaps, epsilon: float) -> None:
             )
 
 
-def _design_maxima(xmat, gaps, epsilon: float, by_denominator: bool = False):
+def _design_maxima(gaps, epsilon: float, design, by_denominator: bool = False):
     """Running per-arm maxima of |w*(i, j)_a| / d_ij^2 over the arm pairs.
 
-    Solves one design LP per pair and yields the maxima after each solve (the
-    same array, updated in place).  |w*| and d_ij are symmetric in (i, j), so
-    the pairs i < j cover both orders.  Pairs go in (i, j) order, or smallest
-    d_ij first (ties in (i, j) order) when by_denominator is set.
+    design(i, j) returns w*(i, j), or None when its LP failed, which raises
+    InfeasibleDesign.  Yields the maxima after each pair (the same array,
+    updated in place).  |w*| and d_ij are symmetric in (i, j), so the pairs
+    i < j cover both orders.  Pairs go in (i, j) order, or smallest d_ij
+    first (ties in (i, j) order) when by_denominator is set.
     """
     k = gaps.shape[0]
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -111,8 +113,8 @@ def _design_maxima(xmat, gaps, epsilon: float, by_denominator: bool = False):
         pairs.sort(key=den.__getitem__)
     best = np.zeros(k)
     for i, j in pairs:
-        status, w, _ = kernels.simplex_l1(xmat, xmat[:, i] - xmat[:, j], 1e-9)
-        if status != kernels.SIMPLEX_OK:
+        w = design(i, j)
+        if w is None:
             raise InfeasibleDesign(
                 f"design system for pair ({i}, {j}) is infeasible"
             )
@@ -164,7 +166,9 @@ def h_constant(kind: str, instance, m: int, epsilon: float = 0.0,
                 "the design-based constant needs an instance with features"
             )
         xmat = np.ascontiguousarray(features, dtype=np.float64)
-        *_, best = _design_maxima(xmat, gaps, epsilon)  # all pairs solved
+        wstar, _, wok = kernels.all_pair_designs(xmat, _DESIGN_TOL)
+        *_, best = _design_maxima(  # all pairs, in (i, j) order
+            gaps, epsilon, lambda i, j: wstar[i, j] if wok[i, j] else None)
         terms = sigma**2 * best
     h = float(terms @ np.ones(k))
     bound = None
@@ -240,7 +244,13 @@ def _fraction_outcome(instance, m: int) -> tuple:
         hu = h_constant(H_UGAPE, instance, m, 0.0, 1.0).H
         cut = hu * (1.0 + _CUT_SLACK)
         xmat = np.ascontiguousarray(instance.features, dtype=np.float64)
-        for best in _design_maxima(xmat, gap_profile(instance, m).gaps, 0.0,
+
+        def design(i, j):
+            status, w, _ = kernels.simplex_l1(xmat, xmat[:, i] - xmat[:, j],
+                                              _DESIGN_TOL)
+            return w if status == kernels.SIMPLEX_OK else None
+
+        for best in _design_maxima(gap_profile(instance, m).gaps, 0.0, design,
                                    by_denominator=True):
             solved += 1
             if best.sum() > cut:

@@ -1,9 +1,16 @@
 """Numerical kernels shared by the numba and pure-numpy backends.
 
-Everything here is written in numba-compatible numpy.  With the numba backend
-active the functions are jitted; with ``TOPM_DISABLE_NUMBA=1`` the identical
+The ``@njit`` functions are written in numba-compatible numpy.  With the numba
+backend active they are jitted; with ``TOPM_DISABLE_NUMBA=1`` the identical
 source runs as plain numpy.  One source for both paths is what makes backend
 equivalence a testable property rather than a hope.
+
+One path is numpy only: ``simplex_l1_batch``, which ``all_pair_designs`` uses
+when numba is off.  Un-jitted, a scalar simplex pivot is a Python loop of
+tiny row operations, so interpreter dispatch, not arithmetic, sets its speed;
+the batch solves many LPs that share X in lockstep, one array operation per
+pivot step for all of them.  It repeats ``simplex_l1``'s arithmetic step for
+step, so both give the same bytes; the tests hold it to the scalar solver.
 
 No ``fastmath`` anywhere: the harness promises bit-identical trial outputs for
 a fixed seed regardless of backend and worker count, which needs strict IEEE
@@ -17,7 +24,7 @@ import math
 
 import numpy as np
 
-from ._jit import njit
+from ._jit import NUMBA_ENABLED, njit
 
 # trial_chunk status codes
 STOPPED = 0
@@ -342,13 +349,190 @@ def simplex_l1(xmat, target, tol):
     return SIMPLEX_OK, w, -tab[n, rhs_col]
 
 
-@njit(cache=True, nogil=True)
+def _pivot_batch(tab, basis, rows, cols):
+    """_pivot on every tableau of the leading axis at once, each at its own
+    (row, col); like _pivot, only rows with a nonzero entry in col change."""
+    lp = np.arange(tab.shape[0])
+    prow = tab[lp, rows] / tab[lp, rows, cols][:, None]
+    prow[lp, cols] = 1.0
+    f = tab[lp, :, cols]
+    f[lp, rows] = 0.0
+    hit, row = np.nonzero(f)
+    tab[hit, row] -= f[hit, row][:, None] * prow[hit]
+    tab[hit, row, cols[hit]] = 0.0
+    tab[lp, rows] = prow
+    basis[lp, rows] = cols
+
+
+def _iterate_batch(tab, basis, active, n_enter, tol, max_iter):
+    """_simplex_iterate in lockstep over the leading axis.
+
+    Each LP makes the choices the scalar scan makes: the first entering
+    column below -tol, then the leaving row of smallest ratio among active
+    rows with coef > tol, ties to the smallest basis index.  In that scan a
+    NaN ratio never replaces the running best, but a NaN on the first valid
+    row is kept.  Finished LPs drop out of the live arrays; their tableau
+    and basis are written back.  Returns each LP's status and pivot count.
+    """
+    n = basis.shape[1]
+    rhs = tab.shape[2] - 1
+    status = np.full(tab.shape[0], SIMPLEX_OK)
+    pivots = np.zeros(tab.shape[0], np.int64)
+    ids = np.arange(tab.shape[0])
+    t, b, a = tab, basis, active
+    steps = 0
+    while ids.size:
+        lp = np.arange(ids.size)
+        neg = t[:, n, :n_enter] < -tol
+        enter = neg.argmax(axis=1)
+        coef = t[lp, :n, enter]
+        valid = a & (coef > tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = t[:, :n, rhs] / coef
+        first = valid.argmax(axis=1)
+        clean = valid & ~np.isnan(ratio)
+        low = np.where(clean, ratio, np.inf).min(axis=1)
+        tied = clean & (ratio == low[:, None])
+        leave = np.where(tied, b, rhs).argmin(axis=1)  # basis entries < rhs
+        leave = np.where(np.isnan(ratio[lp, first]), first, leave)
+        optimal = ~neg.any(axis=1)
+        failed = (~optimal & ~valid.any(axis=1)) | (steps >= max_iter)
+        stop = optimal | failed
+        if stop.any():
+            tab[ids[stop]] = t[stop]
+            basis[ids[stop]] = b[stop]
+            status[ids[stop & failed]] = SIMPLEX_NUMERICAL
+            go = ~stop
+            ids, t, b, a = ids[go], t[go], b[go], a[go]
+            enter, leave = enter[go], leave[go]
+            if not ids.size:
+                break
+        _pivot_batch(t, b, leave, enter)
+        pivots[ids] += 1
+        steps += 1
+    return status, pivots
+
+
+def simplex_l1_batch(xmat, targets, tol):
+    """simplex_l1 for each row of targets (P, N), all sharing xmat.
+
+    The P two-phase solves run in lockstep: one batched pivot per step over
+    the LPs still pivoting.  Every LP takes the pivots simplex_l1 takes, in
+    the same order and with the same arithmetic (sums row by row, never
+    np.sum or np.einsum), so status, w and l1 are bit-identical to P scalar
+    calls.  Returns (status, w, l1, pivots) with P rows each; pivots counts
+    the _pivot calls simplex_l1 makes, drive-out of artificials included.
+    numpy only: the batching replaces per-pivot interpreter dispatch, which
+    the numba backend does not pay.
+    """
+    n = xmat.shape[0]
+    k = xmat.shape[1]
+    p = targets.shape[0]
+    nz = 2 * k
+    ncols = nz + n + 1
+    rhs_col = ncols - 1
+    rows = np.arange(n)
+    sign = np.where(targets < 0.0, -1.0, 1.0)[:, :, None]
+    tab = np.zeros((p, n + 1, ncols))
+    tab[:, :n, :k] = sign * xmat
+    tab[:, :n, k:nz] = -sign * xmat
+    tab[:, rows, nz + rows] = 1.0
+    tab[:, :n, rhs_col] = sign[:, :, 0] * targets
+    basis = np.tile(nz + rows, (p, 1))
+    active = np.ones((p, n), bool)
+    # phase-1 objective, summed row by row as in simplex_l1
+    acc = np.zeros((p, ncols))
+    for i in range(n):
+        acc += tab[:, i]
+    tab[:, n, :nz] = -acc[:, :nz]
+    tab[:, n, rhs_col] = -acc[:, rhs_col]
+
+    max_iter = 200 * (n + k + 10)
+    status = np.full(p, SIMPLEX_NUMERICAL)
+    w = np.zeros((p, k))
+    l1 = np.zeros(p)
+    phase1, pivots = _iterate_batch(tab, basis, active, nz, tol, max_iter)
+    infeasible = (phase1 == SIMPLEX_OK) & (tab[:, n, rhs_col] < -tol)
+    status[infeasible] = SIMPLEX_INFEASIBLE
+    ids = np.nonzero((phase1 == SIMPLEX_OK) & ~infeasible)[0]
+    tab, basis, active = tab[ids], basis[ids], active[ids]
+
+    # drive artificials out of the basis, row by row
+    for i in range(n):
+        sel = np.nonzero(basis[:, i] >= nz)[0]
+        if not sel.size:
+            continue
+        big = np.abs(tab[sel, i, :nz]) > tol
+        can = big.any(axis=1)
+        active[sel[~can], i] = False
+        sel = sel[can]
+        if sel.size:
+            t, b = tab[sel], basis[sel]
+            _pivot_batch(t, b, np.full(sel.size, i), big[can].argmax(axis=1))
+            tab[sel], basis[sel] = t, b
+            pivots[ids[sel]] += 1
+
+    # phase-2 objective: all split variables cost 1
+    lp = np.arange(ids.size)
+    tab[:, n] = 0.0
+    tab[:, n, :nz] = 1.0
+    for i in range(n):
+        col = basis[:, i]
+        f = tab[lp, n, col]
+        hit = np.nonzero(active[:, i] & (f != 0.0))[0]
+        tab[hit, n] -= f[hit, None] * tab[hit, i]
+        tab[hit, n, col[hit]] = 0.0
+
+    phase2, more = _iterate_batch(tab, basis, active, nz, tol, max_iter)
+    pivots[ids] += more
+    done = phase2 == SIMPLEX_OK
+    status[ids[done]] = SIMPLEX_OK
+    for i in range(n):
+        col = basis[:, i]
+        val = tab[:, i, rhs_col]
+        plus = np.nonzero(done & active[:, i] & (col < k))[0]
+        minus = np.nonzero(done & active[:, i] & (col >= k) & (col < nz))[0]
+        w[ids[plus], col[plus]] += val[plus]
+        w[ids[minus], col[minus] - k] -= val[minus]
+    l1[ids[done]] = -tab[done, n, rhs_col]
+    return status, w, l1, pivots
+
+
+# tableau bytes one all_pair_designs batch may hold: K(K-1)/2 tableaux of
+# 8 (N+1)(2K+N+1) bytes each fit whole at K=10, N=5 (56 KB) but not at
+# K=50, N=10 (12 MB), where the chunks keep the footprint near this figure
+_BATCH_TABLEAU_BYTES = 1 << 20
+
+
 def all_pair_designs(xmat, tol):
     """Min-L1 design weights for every unordered arm pair.
 
     Returns (wstar, wl1, wok): wstar[i, j] solves X w = x_i - x_j for i < j,
-    wl1 the L1 values, wok a feasibility mask.
+    wl1 the L1 values, wok a feasibility mask.  The numba backend solves the
+    pairs one by one; numpy solves them through simplex_l1_batch, in chunks
+    of at most _BATCH_TABLEAU_BYTES of tableau.  Both give the same bytes.
     """
+    if NUMBA_ENABLED:
+        return _all_pair_designs_loop(xmat, tol)
+    n, k = xmat.shape
+    wstar = np.zeros((k, k, k))
+    wl1 = np.zeros((k, k))
+    wok = np.zeros((k, k), np.uint8)
+    first, second = np.triu_indices(k, 1)
+    targets = np.ascontiguousarray((xmat[:, first] - xmat[:, second]).T)
+    chunk = max(1, _BATCH_TABLEAU_BYTES // (8 * (n + 1) * (2 * k + n + 1)))
+    for s in range(0, first.size, chunk):
+        status, w, l1, _ = simplex_l1_batch(xmat, targets[s:s + chunk], tol)
+        ok = status == SIMPLEX_OK
+        i, j = first[s:s + chunk][ok], second[s:s + chunk][ok]
+        wstar[i, j] = w[ok]
+        wl1[i, j] = l1[ok]
+        wok[i, j] = 1
+    return wstar, wl1, wok
+
+
+@njit(cache=True, nogil=True)
+def _all_pair_designs_loop(xmat, tol):
     k = xmat.shape[1]
     n = xmat.shape[0]
     wstar = np.zeros((k, k, k))

@@ -3,16 +3,19 @@ sample-size bound, each checked against an independent recomputation."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from topm import kernels
+from topm._jit import NUMBA_ENABLED
 from topm.complexity import (_CUT_SLACK, H_KINDS, H_LUCB, H_MLINGAPE_1,
                              H_MLINGAPE_2, H_UGAPE, _fraction_outcome,
                              complexity_fraction_experiment, h_constant,
                              sample_complexity_bound, solve_l1_design)
 from topm.engine import pair_designs
-from topm.errors import BoundOverflow, ConfigError
+from topm.errors import BoundOverflow, ConfigError, InfeasibleDesign
 from topm.indices import ThresholdSpec, threshold
 from topm.instances import (Instance, gap_profile, make_canonical_instance,
                             make_classic_instance, make_random_unit_instance)
@@ -180,6 +183,113 @@ def test_l1_solver_matches_basis_enumeration():
         assert dw.l1 == pytest.approx(oracle, rel=1e-8, abs=1e-8)
         checked += 1
     assert checked == 200
+
+
+def test_pair_designs_match_basis_enumeration():
+    """Every pair of the batched all-pair solve against the brute-force
+    oracle, on random systems drawn as in the scalar test above."""
+    rng = np.random.default_rng(22)
+    checked = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        k = int(rng.integers(max(2, n), 6))
+        x = rng.standard_normal((n, k))
+        wstar, wl1, wok = pair_designs(x)
+        for i, j in itertools.combinations(range(k), 2):
+            oracle = enumerate_l1_optimum(x, x[:, i] - x[:, j])
+            assert wok[i, j] == 1
+            assert wl1[i, j] == pytest.approx(oracle, rel=1e-8, abs=1e-8)
+            assert np.abs(wstar[i, j]).sum() == pytest.approx(oracle, rel=1e-8, abs=1e-8)
+            checked += 1
+    assert checked > 200
+
+
+def _pair_targets(x):
+    return np.array([x[:, i] - x[:, j]
+                     for i, j in itertools.combinations(range(x.shape[1]), 2)])
+
+
+def _batch_systems():
+    rng = np.random.default_rng(40)
+    systems = [(f"random K={k} N={n}", make_random_unit_instance(
+        k, n, 0.25, seed=(40, k * n), sigma=0.5).features)
+        for k, n in [(10, 5), (10, 10), (20, 10)]]
+    systems.append(("classic", make_classic_instance(4, 2, math.pi / 6, 0.5).features))
+    x = rng.standard_normal((4, 8))
+    x[:, 5] = x[:, 2]
+    systems.append(("duplicated column", x))
+    x = rng.standard_normal((4, 8))
+    x[:, 3] = 0.0
+    systems.append(("zero column", x))
+    x = rng.standard_normal((5, 9))
+    x[4] = x[0] + x[1]  # a redundant row: the drive-out deactivates it
+    systems.append(("rank-deficient", x))
+    x = rng.standard_normal((4, 7))
+    x[2, 3] = np.nan
+    systems.append(("NaN entry", x))
+    x = rng.standard_normal((4, 7))
+    x[2, 3] = 1e200  # overflows some pairs' pivots into SIMPLEX_NUMERICAL
+    systems.append(("huge entry", x))
+    cases = [(label, x, _pair_targets(x)) for label, x in systems]
+    x = rng.standard_normal((4, 6))
+    x[3] = x[0]
+    cases.append(("outside the span", x, rng.standard_normal((10, 4))))
+    x = rng.standard_normal((5, 10))
+    cases.append(("P=1", x, _pair_targets(x)[3:4]))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("label,x,targets", _batch_systems())
+def test_batch_simplex_equals_scalar_simplex(monkeypatch, label, x, targets):
+    """simplex_l1_batch takes the pivots of simplex_l1 and returns its bytes:
+    status, w, l1 and the number of _pivot calls, LP by LP."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    targets = np.ascontiguousarray(targets)
+    status, w, l1, pivots = kernels.simplex_l1_batch(x, targets, 1e-9)
+    calls = []
+    pivot = kernels._pivot
+    monkeypatch.setattr(kernels, "_pivot",
+                        lambda *args: calls.append(1) or pivot(*args))
+    for p, target in enumerate(targets):
+        calls.clear()
+        s, ws, ls = kernels.simplex_l1(x, target, 1e-9)
+        assert status[p] == s, p
+        assert w[p].tobytes() == ws.tobytes(), p
+        assert np.float64(l1[p]).tobytes() == np.float64(ls).tobytes(), p
+        if not NUMBA_ENABLED:  # a jitted simplex_l1 does not call the wrapper
+            assert pivots[p] == len(calls), p
+    if label == "outside the span":
+        assert (status == kernels.SIMPLEX_INFEASIBLE).all()
+    elif label == "huge entry":
+        assert (status == kernels.SIMPLEX_NUMERICAL).any()
+    else:
+        assert (status == kernels.SIMPLEX_OK).all()
+    # NaN ratios reach the leaving-row scan: NaN weights come out
+    assert np.isnan(w).any() == (label == "NaN entry")
+
+
+def test_all_pair_designs_chunks_give_the_same_bytes(monkeypatch):
+    """The tableau budget only splits the pairs into batches: one LP per
+    batch returns the bytes of one batch for all 45 pairs."""
+    x = make_random_unit_instance(10, 5, 0.25, seed=(42, 0), sigma=0.5).features
+    whole = kernels.all_pair_designs(x, 1e-9)
+    monkeypatch.setattr(kernels, "_BATCH_TABLEAU_BYTES", 1)
+    for a, b in zip(whole, kernels.all_pair_designs(x, 1e-9)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_h_constant_raises_for_the_first_failing_pair():
+    """With a huge feature some design LPs fail; h_constant names the first
+    failing pair in (i, j) order, as the one-by-one solve did."""
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((4, 7))
+    x[2, 3] = 1e200
+    with np.errstate(over="ignore"):  # the feature norm overflows
+        inst = Instance(x, 0.5, mu=np.linspace(1.0, 0.0, 7))
+    first = next((i, j) for i, j in itertools.combinations(range(7), 2)
+                 if kernels.simplex_l1(x, x[:, i] - x[:, j], 1e-9)[0] != 0)
+    with pytest.raises(InfeasibleDesign, match=re.escape(f"pair {first}")):
+        h_constant(H_MLINGAPE_2, inst, 2)
 
 
 def test_batch_pair_designs_match_single_solves():
