@@ -124,7 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--D", type=float, required=True)
     t.add_argument("--reps", type=int, required=True)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--workers", type=int, default=1)
+    t.add_argument("--workers", type=int, default=1,
+                   help="ignored, kept for compatibility: the fraction "
+                        "experiment runs all reps as one lockstep batch in "
+                        "the calling thread")
 
     return top
 
@@ -203,7 +206,8 @@ def _cmd_table3(args) -> int:
     res = complexity_fraction_experiment(args.K, args.N, args.D, args.reps,
                                          args.seed, workers=args.workers)
     print(f"fraction = {res.fraction:.4f} ({res.wins} wins, "
-          f"{res.skips} skips, {res.reps} reps, {res.lps} design LPs)")
+          f"{res.skips} skips, {res.reps} reps, {res.lps} design LPs, "
+          f"{res.lps_solved} solved)")
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ drive both the optimized selection rule and the design-based H constant.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,30 +95,38 @@ def _guard_gaps(gaps, epsilon: float) -> None:
             )
 
 
-def _design_maxima(gaps, epsilon: float, design, by_denominator: bool = False):
-    """Running per-arm maxima of |w*(i, j)_a| / d_ij^2 over the arm pairs.
+def _pair_order(gaps, epsilon: float, by_denominator: bool = False) -> tuple:
+    """Arrays (i, j, d_ij) over the arm pairs i < j, in (i, j) order, or
+    smallest d_ij first (ties in (i, j) order) when by_denominator is set.
+    |w*| and d_ij are symmetric in (i, j), so these pairs cover both
+    orders."""
+    first, second = np.triu_indices(gaps.shape[0], 1)
+    den = np.array([max(epsilon, (epsilon + gaps[i]) / 3.0,
+                        (epsilon + gaps[j]) / 3.0)
+                    for i, j in zip(first, second)], dtype=np.float64)
+    if by_denominator:
+        order = np.argsort(den, kind="stable")
+        return first[order], second[order], den[order]
+    return first, second, den
+
+
+def _design_maxima(pairs, k: int, design):
+    """Running per-arm maxima of |w*(i, j)_a| / d_ij^2 over pairs, as given
+    by _pair_order.
 
     design(i, j) returns w*(i, j), or None when its LP failed, which raises
     InfeasibleDesign.  Yields the maxima after each pair (the same array,
-    updated in place).  |w*| and d_ij are symmetric in (i, j), so the pairs
-    i < j cover both orders.  Pairs go in (i, j) order, or smallest d_ij
-    first (ties in (i, j) order) when by_denominator is set.
+    updated in place).
     """
-    k = gaps.shape[0]
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    den = {(i, j): max(epsilon, (epsilon + gaps[i]) / 3.0,
-                       (epsilon + gaps[j]) / 3.0) for i, j in pairs}
-    if by_denominator:
-        pairs.sort(key=den.__getitem__)
     best = np.zeros(k)
-    for i, j in pairs:
+    for i, j, d in zip(*pairs):
         w = design(i, j)
         if w is None:
             raise InfeasibleDesign(
                 f"design system for pair ({i}, {j}) is infeasible"
             )
         # fmax, like a strict scalar max, passes over NaN entries
-        np.fmax(best, np.abs(w) / den[i, j]**2, out=best)
+        np.fmax(best, np.abs(w) / d**2, out=best)
         yield best
 
 
@@ -168,7 +175,8 @@ def h_constant(kind: str, instance, m: int, epsilon: float = 0.0,
         xmat = np.ascontiguousarray(features, dtype=np.float64)
         wstar, _, wok = kernels.all_pair_designs(xmat, _DESIGN_TOL)
         *_, best = _design_maxima(  # all pairs, in (i, j) order
-            gaps, epsilon, lambda i, j: wstar[i, j] if wok[i, j] else None)
+            _pair_order(gaps, epsilon), k,
+            lambda i, j: wstar[i, j] if wok[i, j] else None)
         terms = sigma**2 * best
     h = float(terms @ np.ones(k))
     bound = None
@@ -226,7 +234,10 @@ _CUT_SLACK = 1e-9
 class FractionResult:
     """Outcome of the random-instance constant comparison.
 
-    lps counts the design LPs solved, summed over reps.
+    lps counts the design LPs the decisions used, summed over reps: a rep's
+    LPs up to its crossing or failing LP, or all its pairs.  lps_solved
+    counts the LPs actually solved, which is at least lps and below twice
+    it, since a rep's last block can run past the LP that decided it.
     """
 
     fraction: float
@@ -234,33 +245,92 @@ class FractionResult:
     skips: int
     reps: int
     lps: int
+    lps_solved: int
+
+
+class _RepDecision:
+    """One rep's early-exit comparison of H(m-lingape-2) <= H(ugape) at
+    epsilon = 0 and sigma = 1, fed its design LPs block by block.
+
+    outcome is None while undecided, then 1 for a win, 0 for a loss and -1
+    for a skip.  The pairs go smallest denominator first in blocks of 1, 2,
+    4, ... LPs; read() takes them in that order and stops at the first LP
+    whose running bound crosses the cut or whose solve failed.
+    """
+
+    def __init__(self, instance, m: int):
+        self.outcome = None
+        self.lps = self.solved = 0
+        try:
+            self.hu = h_constant(H_UGAPE, instance, m, 0.0, 1.0).H
+        except ConfigError:  # a degenerate gap
+            self.outcome = -1
+            return
+        self.cut = self.hu * (1.0 + _CUT_SLACK)
+        self.xmat = np.ascontiguousarray(instance.features, dtype=np.float64)
+        self.pairs = _pair_order(gap_profile(instance, m).gaps, 0.0,
+                                 by_denominator=True)
+        # the design source holds the dict, not self: a rep that referred to
+        # itself through its generator would stay alive until a cyclic
+        # garbage collection
+        self.weights = weights = {}
+        self.maxima = _design_maxima(self.pairs, self.xmat.shape[1],
+                                     lambda i, j: weights.pop((i, j)))
+
+    def next_block(self) -> tuple:
+        """The arm ids (i, j) of the next block's pairs.  Blocks hold 1, 2,
+        4, ... pairs: after 2^s - 1 LPs the next block holds 2^s."""
+        return tuple(a[self.solved:2 * self.solved + 1] for a in self.pairs[:2])
+
+    def read(self, block, status, w) -> None:
+        self.solved += block[0].size
+        for pair, s, wq in zip(zip(*block), status, w):
+            self.weights[pair] = wq if s == kernels.SIMPLEX_OK else None
+        try:
+            for _ in status:
+                best = next(self.maxima)
+                self.lps += 1
+                if best.sum() > self.cut:
+                    self.outcome = 0
+                    return
+        except InfeasibleDesign:
+            self.lps += 1
+            self.outcome = -1
+            return
+        if self.solved == self.pairs[0].size:
+            h2 = float(best @ np.ones(best.shape[0]))  # as in h_constant
+            self.outcome = 1 if h2 <= self.hu else 0
+
+
+def _fraction_outcomes(instances, m: int) -> list:
+    """(outcome, lps, lps_solved) of each instance's _RepDecision.
+
+    The instances, any iterable of them, share one feature shape; each is
+    dropped once its rep holds what the decision needs.  Each step takes the
+    next block of every undecided rep and solves all of them in one
+    kernels.simplex_l1_many call, so the step count, not the rep count,
+    sets the number of lockstep solves.
+    """
+    reps = [_RepDecision(inst, m) for inst in instances]
+    live = [r for r in reps if r.outcome is None]
+    while live:
+        blocks = [r.next_block() for r in live]
+        sizes = [i.size for i, _ in blocks]
+        xmats = np.stack([r.xmat for r in live]).repeat(sizes, axis=0)
+        targets = np.concatenate([(r.xmat[:, i] - r.xmat[:, j]).T
+                                  for r, (i, j) in zip(live, blocks)])
+        status, w, _ = kernels.simplex_l1_many(xmats, targets, _DESIGN_TOL)
+        at = np.cumsum(sizes)[:-1]
+        for r, b, s, wb in zip(live, blocks, np.split(status, at),
+                               np.split(w, at)):
+            r.read(b, s, wb)
+        live = [r for r in live if r.outcome is None]
+    return [(r.outcome, r.lps, r.solved) for r in reps]
 
 
 def _fraction_outcome(instance, m: int) -> tuple:
-    """(outcome, design LPs solved) of H(m-lingape-2) <= H(ugape) at
-    epsilon = 0 and sigma = 1; outcome 1 is a win, 0 a loss, -1 a skip."""
-    solved = 0
-    try:
-        hu = h_constant(H_UGAPE, instance, m, 0.0, 1.0).H
-        cut = hu * (1.0 + _CUT_SLACK)
-        xmat = np.ascontiguousarray(instance.features, dtype=np.float64)
-
-        def design(i, j):
-            status, w, _ = kernels.simplex_l1(xmat, xmat[:, i] - xmat[:, j],
-                                              _DESIGN_TOL)
-            return w if status == kernels.SIMPLEX_OK else None
-
-        for best in _design_maxima(gap_profile(instance, m).gaps, 0.0, design,
-                                   by_denominator=True):
-            solved += 1
-            if best.sum() > cut:
-                return 0, solved
-    except ConfigError:
-        return -1, solved
-    except InfeasibleDesign:
-        return -1, solved + 1
-    h2 = float(best @ np.ones(best.shape[0]))  # sigma = 1, as in h_constant
-    return (1 if h2 <= hu else 0), solved
+    """(outcome, lps) of one rep: 1 a win, 0 a loss, -1 a skip."""
+    return _fraction_outcomes([instance], m)[0][:2]
 
 
 def complexity_fraction_experiment(K: int, N: int, D: float, reps: int,
@@ -284,24 +354,24 @@ def complexity_fraction_experiment(K: int, N: int, D: float, reps: int,
     tallied; since x_i - x_j always lies in the feature span, only a
     numerical failure of the simplex fails a design LP, and one among the
     pairs an early loss never reaches leaves the rep a loss, not a skip.
+
+    All reps run together in the calling thread: each step solves the next
+    block of LPs of every undecided rep in one lockstep batch, and each rep
+    reads its block in its own order, so wins, skips and lps are those of
+    deciding the reps one LP at a time.  workers is accepted for
+    compatibility and ignored.
     """
     if reps < 1:
         raise ConfigError("reps must be >= 1")
     m = K // 3 + 1
-
-    def one(rep: int) -> tuple:
-        inst = make_random_unit_instance(K, N, D, seed=(seed, rep), sigma=0.5)
-        return _fraction_outcome(inst, m)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(reps)))
-    else:
-        outcomes = [one(rep) for rep in range(reps)]
-    decided = [o for o, _ in outcomes]
+    outcomes = _fraction_outcomes(
+        (make_random_unit_instance(K, N, D, seed=(seed, rep), sigma=0.5)
+         for rep in range(reps)), m)
+    decided = [o for o, _, _ in outcomes]
     wins = decided.count(1)
     skips = decided.count(-1)
     valid = reps - skips
     fraction = wins / valid if valid > 0 else 0.0
     return FractionResult(fraction=fraction, wins=wins, skips=skips, reps=reps,
-                          lps=sum(n for _, n in outcomes))
+                          lps=sum(n for _, n, _ in outcomes),
+                          lps_solved=sum(n for _, _, n in outcomes))

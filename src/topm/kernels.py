@@ -5,12 +5,14 @@ backend active they are jitted; with ``TOPM_DISABLE_NUMBA=1`` the identical
 source runs as plain numpy.  One source for both paths is what makes backend
 equivalence a testable property rather than a hope.
 
-One path is numpy only: ``simplex_l1_batch``, which ``all_pair_designs`` uses
-when numba is off.  Un-jitted, a scalar simplex pivot is a Python loop of
-tiny row operations, so interpreter dispatch, not arithmetic, sets its speed;
-the batch solves many LPs that share X in lockstep, one array operation per
-pivot step for all of them.  It repeats ``simplex_l1``'s arithmetic step for
-step, so both give the same bytes; the tests hold it to the scalar solver.
+One path is numpy only: ``simplex_l1_batch``, which ``simplex_l1_many`` (and
+through it ``all_pair_designs`` and the fraction experiment) uses when numba
+is off.  Un-jitted, a scalar simplex pivot is a Python loop of tiny row
+operations, so interpreter dispatch, not arithmetic, sets its speed; the
+batch solves many LPs in lockstep, one array operation per pivot step for all
+of them.  The LPs may share X or each bring their own.  It repeats
+``simplex_l1``'s arithmetic step for step, so both give the same bytes; the
+tests hold it to the scalar solver.
 
 No ``fastmath`` anywhere: the harness promises bit-identical trial outputs for
 a fixed seed regardless of backend and worker count, which needs strict IEEE
@@ -414,19 +416,20 @@ def _iterate_batch(tab, basis, active, n_enter, tol, max_iter):
 
 
 def simplex_l1_batch(xmat, targets, tol):
-    """simplex_l1 for each row of targets (P, N), all sharing xmat.
+    """simplex_l1 for each row of targets (P, N).
 
-    The P two-phase solves run in lockstep: one batched pivot per step over
-    the LPs still pivoting.  Every LP takes the pivots simplex_l1 takes, in
-    the same order and with the same arithmetic (sums row by row, never
+    xmat is one (N, K) matrix all LPs share, or (P, N, K) with one matrix per
+    LP.  The P two-phase solves run in lockstep: one batched pivot per step
+    over the LPs still pivoting.  Every LP takes the pivots simplex_l1 takes,
+    in the same order and with the same arithmetic (sums row by row, never
     np.sum or np.einsum), so status, w and l1 are bit-identical to P scalar
     calls.  Returns (status, w, l1, pivots) with P rows each; pivots counts
     the _pivot calls simplex_l1 makes, drive-out of artificials included.
     numpy only: the batching replaces per-pivot interpreter dispatch, which
     the numba backend does not pay.
     """
-    n = xmat.shape[0]
-    k = xmat.shape[1]
+    n = xmat.shape[-2]
+    k = xmat.shape[-1]
     p = targets.shape[0]
     nz = 2 * k
     ncols = nz + n + 1
@@ -498,56 +501,56 @@ def simplex_l1_batch(xmat, targets, tol):
     return status, w, l1, pivots
 
 
-# tableau bytes one all_pair_designs batch may hold: K(K-1)/2 tableaux of
-# 8 (N+1)(2K+N+1) bytes each fit whole at K=10, N=5 (56 KB) but not at
-# K=50, N=10 (12 MB), where the chunks keep the footprint near this figure
+# tableau bytes one simplex_l1_batch call may hold: the K(K-1)/2 pairs of
+# K=10, N=5 (8 (N+1)(2K+N+1) bytes each, 56 KB) fit in one call, K=50, N=10's
+# 12 MB go in chunks that keep the footprint near this figure
 _BATCH_TABLEAU_BYTES = 1 << 20
+
+
+def simplex_l1_many(xmat, targets, tol):
+    """(status, w, l1) of simplex_l1 for each row of targets (P, N).
+
+    xmat is shared (N, K) or per LP (P, N, K), as in simplex_l1_batch.  The
+    numba backend solves the LPs one by one; numpy solves them through
+    simplex_l1_batch, in chunks of at most _BATCH_TABLEAU_BYTES of tableau.
+    Both give the bytes of P simplex_l1 calls.
+    """
+    n, k = xmat.shape[-2:]
+    p = targets.shape[0]
+    if NUMBA_ENABLED:
+        status = np.empty(p, np.int64)
+        w = np.zeros((p, k))
+        l1 = np.zeros(p)
+        for q in range(p):
+            x = xmat if xmat.ndim == 2 else xmat[q]
+            status[q], w[q], l1[q] = simplex_l1(x, targets[q], tol)
+        return status, w, l1
+    chunk = max(1, _BATCH_TABLEAU_BYTES // (8 * (n + 1) * (2 * k + n + 1)))
+    parts = [simplex_l1_batch(xmat if xmat.ndim == 2 else xmat[s:s + chunk],
+                              targets[s:s + chunk], tol)[:3]
+             for s in range(0, max(p, 1), chunk)]  # P = 0: one empty batch
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def all_pair_designs(xmat, tol):
     """Min-L1 design weights for every unordered arm pair.
 
     Returns (wstar, wl1, wok): wstar[i, j] solves X w = x_i - x_j for i < j,
-    wl1 the L1 values, wok a feasibility mask.  The numba backend solves the
-    pairs one by one; numpy solves them through simplex_l1_batch, in chunks
-    of at most _BATCH_TABLEAU_BYTES of tableau.  Both give the same bytes.
+    wl1 the L1 values, wok a feasibility mask.  The pairs go through
+    simplex_l1_many, so both backends give the same bytes.
     """
-    if NUMBA_ENABLED:
-        return _all_pair_designs_loop(xmat, tol)
-    n, k = xmat.shape
+    k = xmat.shape[1]
     wstar = np.zeros((k, k, k))
     wl1 = np.zeros((k, k))
     wok = np.zeros((k, k), np.uint8)
     first, second = np.triu_indices(k, 1)
     targets = np.ascontiguousarray((xmat[:, first] - xmat[:, second]).T)
-    chunk = max(1, _BATCH_TABLEAU_BYTES // (8 * (n + 1) * (2 * k + n + 1)))
-    for s in range(0, first.size, chunk):
-        status, w, l1, _ = simplex_l1_batch(xmat, targets[s:s + chunk], tol)
-        ok = status == SIMPLEX_OK
-        i, j = first[s:s + chunk][ok], second[s:s + chunk][ok]
-        wstar[i, j] = w[ok]
-        wl1[i, j] = l1[ok]
-        wok[i, j] = 1
-    return wstar, wl1, wok
-
-
-@njit(cache=True, nogil=True)
-def _all_pair_designs_loop(xmat, tol):
-    k = xmat.shape[1]
-    n = xmat.shape[0]
-    wstar = np.zeros((k, k, k))
-    wl1 = np.zeros((k, k))
-    wok = np.zeros((k, k), np.uint8)
-    target = np.empty(n)
-    for i in range(k):
-        for j in range(i + 1, k):
-            for r in range(n):
-                target[r] = xmat[r, i] - xmat[r, j]
-            status, w, l1 = simplex_l1(xmat, target, tol)
-            if status == SIMPLEX_OK:
-                wstar[i, j, :] = w
-                wl1[i, j] = l1
-                wok[i, j] = 1
+    status, w, l1 = simplex_l1_many(xmat, targets, tol)
+    ok = status == SIMPLEX_OK
+    i, j = first[ok], second[ok]
+    wstar[i, j] = w[ok]
+    wl1[i, j] = l1[ok]
+    wok[i, j] = 1
     return wstar, wl1, wok
 
 

@@ -120,18 +120,22 @@ def test_criterion_4_paired_index_dominance(classic42, campaigns):
 
 FRACTION_CELLS = [
     ("criterion-5a", 10, 5, lambda f: 0.241 <= f <= 0.341,
-     "in [0.241, 0.341] (known miss: measured ~0.10; see README)"),
-    ("criterion-5b", 10, 10, lambda f: f <= 0.02, "<= 0.02"),
-    ("criterion-5c", 20, 10, lambda f: f <= 0.03, "<= 0.03"),
+     "in [0.241, 0.341] (known miss: measured ~0.10; see README)", 8561),
+    ("criterion-5b", 10, 10, lambda f: f <= 0.02, "<= 0.02", 6604),
+    ("criterion-5c", 20, 10, lambda f: f <= 0.03, "<= 0.03", 13090),
 ]
 
 
-@pytest.mark.parametrize("label,K,N,accept,band", FRACTION_CELLS,
+@pytest.mark.parametrize("label,K,N,accept,band,lps", FRACTION_CELLS,
                          ids=[c[0] for c in FRACTION_CELLS])
-def test_criterion_5_design_constant_fraction(label, K, N, accept, band):
+def test_criterion_5_design_constant_fraction(label, K, N, accept, band, lps):
     """Fraction of random unit instances whose design-based constant beats
-    the gap-based ugape constant, 1000 reps per cell."""
+    the gap-based ugape constant, 1000 reps per cell.  The LP count of the
+    early-exit decision is checked first, so the known miss of 5a cannot
+    hide a change in it."""
     res = complexity_fraction_experiment(K, N, 0.25, 1000, seed=0, workers=4)
+    check(f"{label} design LPs of the early-exit decision", res.lps == lps,
+          f"lps={res.lps}, expected {lps}")
     check(f"{label} fraction (K={K}, N={N}, D=0.25)", accept(res.fraction),
           f"fraction={res.fraction:.4f}, target {band}, "
           f"wins={res.wins}, skips={res.skips}")

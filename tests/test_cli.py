@@ -132,7 +132,7 @@ def test_table3_command(capsys):
     out = capsys.readouterr().out
     res = complexity_fraction_experiment(6, 2, 0.3, reps=10, seed=3)
     assert f"fraction = {res.fraction:.4f}" in out
-    assert f"{res.lps} design LPs" in out
+    assert f"{res.lps} design LPs, {res.lps_solved} solved" in out
 
 
 def test_help_and_bad_usage():

@@ -11,9 +11,11 @@ import pytest
 from topm import kernels
 from topm._jit import NUMBA_ENABLED
 from topm.complexity import (_CUT_SLACK, H_KINDS, H_LUCB, H_MLINGAPE_1,
-                             H_MLINGAPE_2, H_UGAPE, _fraction_outcome,
-                             complexity_fraction_experiment, h_constant,
-                             sample_complexity_bound, solve_l1_design)
+                             H_MLINGAPE_2, H_UGAPE, FractionResult,
+                             _fraction_outcome, _fraction_outcomes,
+                             _pair_order, complexity_fraction_experiment,
+                             h_constant, sample_complexity_bound,
+                             solve_l1_design)
 from topm.engine import pair_designs
 from topm.errors import BoundOverflow, ConfigError, InfeasibleDesign
 from topm.indices import ThresholdSpec, threshold
@@ -268,6 +270,59 @@ def test_batch_simplex_equals_scalar_simplex(monkeypatch, label, x, targets):
     assert np.isnan(w).any() == (label == "NaN entry")
 
 
+def _mixed_systems(n):
+    """K=10 feature matrices of N=n rows: two random unit instances, a
+    rank-deficient X, a NaN entry and a 1e200 entry."""
+    rng = np.random.default_rng(43)
+    systems = [make_random_unit_instance(10, n, 0.25, seed=(43, s),
+                                         sigma=0.5).features for s in (0, 1)]
+    x = rng.standard_normal((n, 10))
+    x[n - 1] = x[0] + x[1]
+    systems.append(x)
+    x = rng.standard_normal((n, 10))
+    x[2, 3] = np.nan
+    systems.append(x)
+    x = rng.standard_normal((n, 10))
+    x[2, 3] = 1e200
+    systems.append(x)
+    return systems
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_batch_simplex_with_per_lp_matrices(monkeypatch, n):
+    """One batch whose LPs bring their own X: each LP returns simplex_l1's
+    status, bytes of w and l1 and pivot count for its X, and
+    simplex_l1_many returns the same bytes in small chunks and on the
+    one-LP-at-a-time branch the numba backend takes."""
+    systems = _mixed_systems(n)
+    xs = np.array([x for x in systems for _ in range(45)])
+    targets = np.concatenate([_pair_targets(x) for x in systems])
+    status, w, l1, pivots = kernels.simplex_l1_batch(xs, targets, 1e-9)
+    calls = []
+    pivot = kernels._pivot
+    monkeypatch.setattr(kernels, "_pivot",
+                        lambda *args: calls.append(1) or pivot(*args))
+    for p, (x, target) in enumerate(zip(xs, targets)):
+        calls.clear()
+        s, ws, ls = kernels.simplex_l1(x, target, 1e-9)
+        assert status[p] == s, p
+        assert w[p].tobytes() == ws.tobytes(), p
+        assert np.float64(l1[p]).tobytes() == np.float64(ls).tobytes(), p
+        if not NUMBA_ENABLED:  # a jitted simplex_l1 does not call the wrapper
+            assert pivots[p] == len(calls), p
+    # 45 pairs per system: the first three solve, the NaN entry gives NaN
+    # weights and the 1e200 entry fails some LPs
+    assert (status[:135] == kernels.SIMPLEX_OK).all()
+    assert (status[180:] == kernels.SIMPLEX_NUMERICAL).any()
+    assert np.isnan(w[135:180]).any() and not np.isnan(w[:135]).any()
+    monkeypatch.setattr(kernels, "_BATCH_TABLEAU_BYTES", 20000)
+    chunked = kernels.simplex_l1_many(xs, targets, 1e-9)
+    monkeypatch.setattr(kernels, "NUMBA_ENABLED", True)
+    looped = kernels.simplex_l1_many(xs, targets, 1e-9)
+    for whole, a, b in zip((status, w, l1), chunked, looped):
+        assert whole.tobytes() == a.tobytes() == b.tobytes()
+
+
 def test_all_pair_designs_chunks_give_the_same_bytes(monkeypatch):
     """The tableau budget only splits the pairs into batches: one LP per
     batch returns the bytes of one batch for all 45 pairs."""
@@ -377,6 +432,8 @@ def test_fraction_experiment_is_deterministic_across_workers():
     threaded = complexity_fraction_experiment(6, 2, 0.3, reps=24, seed=3,
                                               workers=4)
     assert serial == threaded
+    # pinned from the one-LP-at-a-time decision (lps_solved from the blocks)
+    assert serial == FractionResult(13 / 24, 13, 0, 24, 239, 254)
     assert 0.0 <= serial.fraction <= 1.0
     assert serial.wins <= serial.reps - serial.skips
     with pytest.raises(ConfigError):
@@ -387,8 +444,47 @@ def test_fraction_lp_count_is_deterministic_and_bounded():
     serial = complexity_fraction_experiment(10, 5, 0.25, reps=24, seed=3)
     threaded = complexity_fraction_experiment(10, 5, 0.25, reps=24, seed=3,
                                               workers=4)
-    assert serial.lps == threaded.lps
-    assert 24 <= serial.lps <= 24 * 45
+    assert serial == threaded
+    assert serial == FractionResult(0.0, 0, 0, 24, 86, 124)
+    assert 24 <= serial.lps <= serial.lps_solved <= 2 * serial.lps
+    assert serial.lps_solved <= 24 * 45
+
+
+def test_fraction_decision_is_exact_under_blocks(monkeypatch):
+    """A rep reads its blocks of 1, 2, 4, ... LPs in pair order and stops at
+    the first crossing or failing LP.  On this rep the bound crosses at
+    LP 5, inside the third block (LPs 4 to 7)."""
+    m = 4
+    inst = make_random_unit_instance(10, 5, 0.25, seed=(0, 20), sigma=0.5)
+    win = make_random_unit_instance(10, 5, 0.25, seed=(0, 13), sigma=0.5)
+    assert _fraction_outcomes([inst, win], m) == [(0, 5, 7), (1, 45, 45)]
+    first, second, _ = _pair_order(gap_profile(inst, m).gaps, 0.0,
+                                   by_denominator=True)
+    many = kernels.simplex_l1_many
+
+    def fail_at(pos):
+        """Make the solve of LP pos (1-based, in pair order) fail."""
+        i, j = first[pos - 1], second[pos - 1]
+        bad = inst.features[:, i] - inst.features[:, j]
+
+        def solve(xmats, targets, tol):
+            status, w, l1 = many(xmats, targets, tol)
+            hit = (targets == bad).all(axis=1)
+            status[hit] = kernels.SIMPLEX_NUMERICAL
+            w[hit] = 0.0
+            return status, w, l1
+
+        monkeypatch.setattr(kernels, "simplex_l1_many", solve)
+
+    fail_at(6)  # after the crossing, in the same block: still a loss
+    assert _fraction_outcomes([inst, win], m) == [(0, 5, 7), (1, 45, 45)]
+    fail_at(2)  # before the crossing: a skip that counts the failing LP
+    assert _fraction_outcomes([inst, win], m) == [(-1, 2, 3), (1, 45, 45)]
+    # a degenerate gap (the m-th and (m+1)-th means tie) is a skip, 0 LPs
+    mu = np.sort(inst.mu)[::-1]
+    mu[m] = mu[m - 1]
+    degenerate = Instance(inst.features, 0.5, mu=mu)
+    assert _fraction_outcomes([degenerate, win], m) == [(-1, 0, 0), (1, 45, 45)]
 
 
 def _full_comparison(inst, m):
@@ -404,10 +500,11 @@ def test_fraction_decision_equals_full_comparison(K, N, reps):
     m = K // 3 + 1
     pairs = K * (K - 1) // 2
     lps = 0
-    for rep in range(reps):
-        inst = make_random_unit_instance(K, N, 0.25, seed=(0, rep), sigma=0.5)
+    insts = [make_random_unit_instance(K, N, 0.25, seed=(0, rep), sigma=0.5)
+             for rep in range(reps)]
+    for rep, (inst, (outcome, solved, _)) in enumerate(
+            zip(insts, _fraction_outcomes(insts, m))):
         h2, hu = _full_comparison(inst, m)
-        outcome, solved = _fraction_outcome(inst, m)
         assert outcome == int(h2 <= hu), rep
         assert 1 <= solved <= pairs
         if h2 <= hu:
