@@ -5,11 +5,14 @@ b_t inside it, the challenger c_t outside it, check the stopping statistic,
 select the arm(s) to pull, update the estimator.  The five named presets
 (lucb, ugape, lingape, m-lingape, lingifa) are particular rule assignments.
 
-run_trial drives a compiled chunked kernel by default; engine="reference"
-runs a plain-python loop over the same shared numerics.  Both consume the
+run_trial drives the compiled chunked kernel, kernels.trial_chunk, by default.
+engine="reference" runs a plain-python loop whose rounds compose the library
+rule functions below (compute_bt, compute_ct, stopping_stat and the private
+_candidates and _select behind compute_Jt and select_arm); it shares no rule
+code with trial_chunk, only the numerics both call.  Both consume the
 per-trial random stream in the same order (tie-break permutation, then one
 noise value per pull), so they produce bit-identical results, which is a
-tested property rather than a design hope.
+tested property rather than a design hope: each form checks the other.
 """
 
 from __future__ import annotations
@@ -149,7 +152,8 @@ def preset(name: str, *, selection: Optional[str] = None,
 
 
 # ---------------------------------------------------------------------------
-# rule operations (library form; the trial loop computes the same quantities)
+# rule operations (library form; the reference loop runs these, the kernel
+# its own copy)
 # ---------------------------------------------------------------------------
 
 
@@ -159,6 +163,19 @@ def _as_perm(perm, k: int) -> np.ndarray:
     return np.asarray(perm, dtype=np.int64)
 
 
+def _candidates(rule: str, means, B, m: int, perm) -> np.ndarray:
+    """J(t) best first, the order the trace logs it."""
+    if rule == J_TOP_M_EMPIRICAL:
+        return kernels.topm_set(means, m, perm, 0)
+    if rule == J_MIN_MAX_INDEX:
+        B = np.asarray(B, dtype=np.float64)
+        scores = np.empty(B.shape[0])
+        for j in range(B.shape[0]):
+            scores[j] = kernels.mth_largest_excluding(B[:, j], j, m)
+        return kernels.topm_set(scores, m, perm, 1)
+    raise ConfigError(f"unknown j_rule {rule!r}")
+
+
 def compute_Jt(rule: str, means, B, m: int, perm=None) -> np.ndarray:
     """Candidate set J(t): the m empirically best arms, or the m arms whose
     m-th largest incoming index is smallest."""
@@ -166,16 +183,7 @@ def compute_Jt(rule: str, means, B, m: int, perm=None) -> np.ndarray:
     k = means.shape[0]
     if m >= k:
         raise ConfigError(f"need m < K, got m={m}, K={k}")
-    perm = _as_perm(perm, k)
-    if rule == J_TOP_M_EMPIRICAL:
-        return np.sort(kernels.topm_set(means, m, perm, 0))
-    if rule == J_MIN_MAX_INDEX:
-        B = np.asarray(B, dtype=np.float64)
-        scores = np.empty(k)
-        for j in range(k):
-            scores[j] = kernels.mth_largest_excluding(B[:, j], j, m)
-        return np.sort(kernels.topm_set(scores, m, perm, 1))
-    raise ConfigError(f"unknown j_rule {rule!r}")
+    return np.sort(_candidates(rule, means, B, m, _as_perm(perm, k)))
 
 
 def compute_bt(rule: str, J, B, m: Optional[int] = None, perm=None) -> int:
@@ -223,15 +231,54 @@ def compute_ct(J, b: int, B, perm=None) -> int:
 
 def stopping_stat(rule: str, J, b: int, c: int, B,
                   m: Optional[int] = None) -> float:
-    """The quantity compared against epsilon each round."""
+    """The quantity compared against epsilon each round.
+
+    ugape's statistic is the largest m-th largest incoming index over J,
+    scanned in arm order from -inf with a strict >, so a NaN score never
+    replaces a number.
+    """
     B = np.asarray(B, dtype=np.float64)
     if rule == STOP_LUCB:
         return float(B[c, b])
     if rule == STOP_UGAPE:
         if m is None:
             raise ConfigError("ugape stopping needs m")
-        return float(max(kernels.mth_largest_excluding(B[:, j], j, m) for j in J))
+        stat = -np.inf
+        for j in np.sort(np.asarray(J, dtype=np.int64)):
+            v = kernels.mth_largest_excluding(B[:, j], j, m)
+            if v > stat:
+                stat = v
+        return float(stat)
     raise ConfigError(f"unknown stopping rule {rule!r}")
+
+
+def _select(rule: str, b: int, c: int, g, t1, xt, counts, perm, design,
+            literal: bool):
+    """(a1, a2) to pull for anchor b and challenger c; a2 is -1 except for
+    the both-arms rule.
+
+    g = X^T A^-1 X and t1 = X^T A^-1 (round_quantities' G and T1).  design
+    is (w, l1) with X w = x_b - x_c, or None when the pair has no design;
+    the optimized rule then, or on an empty support, falls back to greedy.
+    """
+    if rule == SEL_LARGEST_VARIANCE:
+        gb, gc = g[b, b], g[c, c]
+        return (b if gb > gc or (gb == gc and perm[b] < perm[c]) else c), -1
+    if rule == SEL_BOTH_ARMS:
+        return b, c
+    if rule == SEL_OPTIMIZED and design is not None:
+        w, l1 = design
+        support = (w > 0.0) if literal else (w != 0.0)
+        if support.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = counts * l1 / (w if literal else np.abs(w))
+            return int(kernels.argbest(score, support.astype(np.uint8), perm,
+                                       1 if literal else 0)), -1
+    y = xt[b] - xt[c]
+    vmv = g[b, b] + g[c, c] - 2.0 * g[b, c]
+    proj = t1 @ y
+    vals = vmv - proj * proj / (1.0 + np.diagonal(g))
+    return int(kernels.argbest(vals, np.ones(len(vals), np.uint8), perm, 0)), -1
 
 
 def select_arm(rule: str, b: int, c: int, estimator: EstimatorState,
@@ -241,61 +288,29 @@ def select_arm(rule: str, b: int, c: int, estimator: EstimatorState,
     Returns an arm id, or the pair (b, c) for the both-arms rule.  The
     largest-variance comparison uses the inverse-design quadratic forms
     directly (equivalent to comparing widths, and still defined at sigma=0).
+    design_solver(b, c) returns DesignWeights with X w = x_b - x_c, or
+    raises InfeasibleDesign, which falls back to greedy.
     """
+    if rule not in _SEL_CODES:
+        raise ConfigError(f"unknown selection rule {rule!r}")
     if b == c:
         raise ConfigError("anchor and challenger must differ")
-    k = estimator.K
-    perm = _as_perm(perm, k)
-    design = estimator._require_design()
-    xt = estimator._xt
-    if rule == SEL_LARGEST_VARIANCE:
-        gb = design.quad_form(xt[b])
-        gc = design.quad_form(xt[c])
-        if gb > gc or (gb == gc and perm[b] < perm[c]):
-            return b
-        return c
-    if rule == SEL_BOTH_ARMS:
-        return (b, c)
+    perm = _as_perm(perm, estimator.K)
+    t1 = estimator._xt @ estimator._require_design().inverse
+    g = t1 @ estimator.features
+    design = None
     if rule == SEL_OPTIMIZED:
         if design_solver is None:
             raise ConfigError("optimized selection needs a design solver")
         try:
             dw = design_solver(b, c)
         except InfeasibleDesign:
-            dw = None
-        if dw is not None:
-            w = np.asarray(dw.weights, dtype=np.float64)
-            counts = estimator.counts
-            best = -1
-            best_score = 0.0
-            for a in range(k):
-                wa = w[a]
-                if literal:
-                    if wa > 0.0:
-                        sc = counts[a] * dw.l1 / wa
-                        if best < 0 or sc > best_score or (
-                            sc == best_score and perm[a] < perm[best]
-                        ):
-                            best, best_score = a, sc
-                else:
-                    if wa != 0.0:
-                        sc = counts[a] * dw.l1 / abs(wa)
-                        if best < 0 or sc < best_score or (
-                            sc == best_score and perm[a] < perm[best]
-                        ):
-                            best, best_score = a, sc
-            if best >= 0:
-                return best
-        # infeasible or empty support: fall through to greedy
-    y = xt[b] - xt[c]
-    minv = design.inverse
-    vmv = kernels.quad_form_inv(minv, y)
-    vals = np.empty(k)
-    for a in range(k):
-        xa = xt[a]
-        proj = float(xa @ (minv @ y))
-        vals[a] = vmv - proj * proj / (1.0 + design.quad_form(xa))
-    return int(kernels.argbest(vals, np.ones(k, np.uint8), perm, 0))
+            pass
+        else:
+            design = (np.asarray(dw.weights, dtype=np.float64), dw.l1)
+    a1, a2 = _select(rule, b, c, g, t1, estimator._xt, estimator.counts, perm,
+                     design, literal)
+    return (a1, a2) if rule == SEL_BOTH_ARMS else a1
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +413,6 @@ def _resolve_threshold(spec: AlgorithmSpec, threshold_kind: Optional[str],
     return ThresholdSpec(kind=kind, delta=delta, n_dim=n_dim,
                          feature_bound=feat_bound, param_bound=param_bound,
                          lam=lam, sigma=sigma, k_arms=k_arms)
-
-
-def _reward_from_noise(u: float, arm: int, law: int, mu_arms, table,
-                       table_len, sigma: float) -> float:
-    # a copy of the reward formula in kernels.apply_pull: _init_state draws
-    # every init-pass reward through it, and every later pull of both loops
-    # goes through apply_pull
-    if law == kernels.LAW_GAUSSIAN:
-        return mu_arms[arm] + sigma * u
-    idx = int(u * table_len[arm])
-    if idx >= table_len[arm]:
-        idx = table_len[arm] - 1
-    return table[arm, idx]
 
 
 class _TrialSetup:
@@ -553,8 +555,8 @@ def _init_state(setup: _TrialSetup, rng):
     if setup.spec.init_pass:
         draws = setup.draw(rng, k)
         for a in range(k):
-            r = _reward_from_noise(draws[a], a, setup.law, setup.mu_arms,
-                                   setup.table, setup.table_len, setup.sigma)
+            r = kernels.reward(a, draws[a], setup.law, setup.mu_arms,
+                               setup.table, setup.table_len, setup.sigma)
             x = setup.xt[a]
             counts[a] += 1
             bvec += r * x
@@ -592,6 +594,15 @@ def _finalize(setup: _TrialSetup, istate, counts, j_out, f_out, status,
     )
 
 
+def _trace(segments, m: int, k: int) -> Trace:
+    """One Trace from row segments, each holding the Trace fields in order."""
+    empty = [np.empty(shape, np.int64)
+             for shape in ((0,), (0, m), (0,), (0,), (0,), (0,))]
+    empty += [np.empty(shape) for shape in ((0,), (0,), (0, k), (0, k, k))]
+    cols = list(zip(*segments)) or [()] * len(empty)
+    return Trace(*(np.concatenate([e, *col]) for e, col in zip(empty, cols)))
+
+
 def _run_kernel(setup: _TrialSetup, rng) -> RunResult:
     amat, minv, bvec, counts, istate, perm = _init_state(setup, rng)
     jc, bc, sc, st, paired, lit = setup.codes()
@@ -614,16 +625,13 @@ def _run_kernel(setup: _TrialSetup, rng) -> RunResult:
     tr_mu = np.zeros((cap, k))
     tr_w = np.zeros((cap, k, k))
     tr_len = np.zeros(1, np.int64)
+    rows = (tr_t, tr_j, tr_b, tr_c, tr_a1, tr_a2, tr_stat, tr_thr, tr_mu, tr_w)
     segments = []
 
     def flush():
         nrows = int(tr_len[0])
         if nrows:
-            segments.append((tr_t[:nrows].copy(), tr_j[:nrows].copy(),
-                             tr_b[:nrows].copy(), tr_c[:nrows].copy(),
-                             tr_a1[:nrows].copy(), tr_a2[:nrows].copy(),
-                             tr_stat[:nrows].copy(), tr_thr[:nrows].copy(),
-                             tr_mu[:nrows].copy(), tr_w[:nrows].copy()))
+            segments.append(tuple(col[:nrows].copy() for col in rows))
         tr_len[0] = 0
 
     while True:
@@ -658,187 +666,75 @@ def _run_kernel(setup: _TrialSetup, rng) -> RunResult:
     trace_obj = None
     if setup.trace:
         flush()
-        cols = list(zip(*segments)) if segments else [[] for _ in range(10)]
-        def cat(parts, like):
-            return (np.concatenate(parts) if parts
-                    else np.empty((0,) + like.shape[1:], like.dtype))
-        trace_obj = Trace(
-            t=cat(cols[0], tr_t), J=cat(cols[1], tr_j), b=cat(cols[2], tr_b),
-            c=cat(cols[3], tr_c), a1=cat(cols[4], tr_a1), a2=cat(cols[5], tr_a2),
-            stat=cat(cols[6], tr_stat), threshold=cat(cols[7], tr_thr),
-            means=cat(cols[8], tr_mu), widths=cat(cols[9], tr_w),
-        )
+        trace_obj = _trace(segments, m, k)
     return _finalize(setup, istate, counts, j_out, f_out, status, trace_obj)
 
 
 def _run_reference(setup: _TrialSetup, rng) -> RunResult:
-    """Plain-python loop over the same shared numerics; one noise draw per
-    pull instead of chunked buffers.  Exists to pin down the kernel's
-    bookkeeping; must stay bit-identical to _run_kernel."""
-    amat, minv, bvec, counts, istate, perm = _init_state(setup, rng)
-    jc, bc, sc, st, paired, lit = setup.codes()
-    thr = setup.threshold
-    thr_args = thr.kernel_args()
-    m, k = setup.m, setup.k
-    rows = []
+    """Plain-python loop whose rounds compose the library rule functions
+    (_candidates, compute_bt, compute_ct, stopping_stat, _select).
 
-    j_out = np.zeros(m, np.int64)
-    f_out = np.zeros(2)
-    status = None
+    It shares no rule code with kernels.trial_chunk, only the numerics both
+    call (threshold_value, round_quantities, apply_pull), and draws one noise
+    value per pull instead of reading chunked buffers.  It must stay
+    bit-identical to _run_kernel, which makes it the independent check of
+    the kernel's rules and bookkeeping.
+    """
+    amat, minv, bvec, counts, istate, perm = _init_state(setup, rng)
+    spec, thr, m = setup.spec, setup.threshold, setup.m
+    thr_args = thr.kernel_args()
+    segments = []
     while True:
         t = int(istate[kernels.IS_T])
         level = kernels.threshold_value(thr.code, max(t, 1), *thr_args)
         mu, wmat, bmat, g, t1 = kernels.round_quantities(
-            setup.xt, setup.xmat, minv, bvec, level, setup.sigma, paired)
+            setup.xt, setup.xmat, minv, bvec, level, setup.sigma,
+            spec.index.paired_code)
 
         if setup.monitor and istate[kernels.IS_VFOUND] == 0:
-            hit = False
-            for i in range(k):
-                if hit:
-                    break
-                for j in range(k):
-                    if i != j and setup.mu_true[i] - setup.mu_true[j] > bmat[i, j]:
-                        istate[kernels.IS_VFOUND] = 1
-                        istate[kernels.IS_VT] = t
-                        istate[kernels.IS_VI] = i
-                        istate[kernels.IS_VJ] = j
-                        hit = True
-                        break
+            # first pair (i, j), row by row, whose true gap exceeds its index
+            low = setup.mu_true[:, None] - setup.mu_true[None, :] > bmat
+            np.fill_diagonal(low, False)
+            hits = np.argwhere(low)
+            if hits.size:
+                istate[[kernels.IS_VFOUND, kernels.IS_VT, kernels.IS_VI,
+                        kernels.IS_VJ]] = (1, t, *hits[0])
 
-        if jc == kernels.J_TOP_M_EMPIRICAL:
-            jset = kernels.topm_set(mu, m, perm, 0)
-        else:
-            scores = np.empty(k)
-            for j in range(k):
-                scores[j] = kernels.mth_largest_excluding(bmat[:, j], j, m)
-            jset = kernels.topm_set(scores, m, perm, 1)
-        in_j = np.zeros(k, np.uint8)
-        in_j[jset] = 1
-        out_j = (1 - in_j).astype(np.uint8)
-
-        bval = np.full(k, -np.inf)
-        for j in jset:
-            if bc == kernels.B_MAX_OVER_OUTSIDE:
-                best = -np.inf
-                for i in range(k):
-                    if out_j[i] == 1 and bmat[i, j] > best:
-                        best = bmat[i, j]
-                bval[j] = best
-            else:
-                bval[j] = kernels.mth_largest_excluding(bmat[:, j], j, m)
-        b_arm = int(kernels.argbest(bval, in_j, perm, 1))
-        c_arm = int(kernels.argbest(np.ascontiguousarray(bmat[:, b_arm]),
-                                    out_j, perm, 1))
-
-        if st == kernels.STOP_LUCB:
-            stat = float(bmat[c_arm, b_arm])
-        else:
-            stat = -np.inf
-            for j in jset:
-                v = kernels.mth_largest_excluding(bmat[:, j], j, m)
-                if v > stat:
-                    stat = v
-            stat = float(stat)
-
+        jset = _candidates(spec.j_rule, mu, bmat, m, perm)
+        b_arm = compute_bt(spec.b_rule, jset, bmat, m, perm)
+        c_arm = compute_ct(jset, b_arm, bmat, perm)
+        stat = stopping_stat(spec.stopping, jset, b_arm, c_arm, bmat, m)
         stopped = stat <= setup.epsilon
-        truncated = (not stopped) and t >= setup.max_rounds
-        row = None
+        done = stopped or t >= setup.max_rounds
+        a1 = a2 = -1
+        if not done:
+            design = None
+            lo, hi = sorted((b_arm, c_arm))
+            if spec.selection == SEL_OPTIMIZED and setup.wok[lo, hi] == 1:
+                w = setup.wstar[lo, hi]  # solves X w = x_lo - x_hi
+                design = (-w if b_arm > c_arm else w, setup.wl1[lo, hi])
+            a1, a2 = _select(spec.selection, b_arm, c_arm, g, t1, setup.xt,
+                             counts, perm, design, spec.paper_literal_optimized)
         if setup.trace:
-            row = dict(t=t, J=np.array(jset), b=b_arm, c=c_arm, a1=-1, a2=-1,
-                       stat=stat, thr=float(level), mu=mu.copy(), w=wmat.copy())
-            rows.append(row)
-        if stopped or truncated:
-            j_out[:] = jset
-            f_out[0] = stat
-            f_out[1] = level
-            status = kernels.STOPPED if stopped else kernels.TRUNCATED
+            segments.append(([t], [jset], [b_arm], [c_arm], [a1], [a2],
+                             [stat], [level], [mu], [wmat]))
+        if done:
             break
 
-        a1, a2 = -1, -1
-        if sc == kernels.SEL_LARGEST_VARIANCE:
-            gb, gc_ = g[b_arm, b_arm], g[c_arm, c_arm]
-            a1 = b_arm if (gb > gc_ or (gb == gc_ and perm[b_arm] < perm[c_arm])) else c_arm
-        elif sc == kernels.SEL_BOTH_ARMS:
-            a1, a2 = b_arm, c_arm
-        else:
-            use_greedy = sc == kernels.SEL_GREEDY
-            if sc == kernels.SEL_OPTIMIZED:
-                lo, hi = min(b_arm, c_arm), max(b_arm, c_arm)
-                if setup.wok[lo, hi] == 1:
-                    l1v = setup.wl1[lo, hi]
-                    best, best_score = -1, 0.0
-                    for a in range(k):
-                        wa = setup.wstar[lo, hi, a]
-                        if b_arm > c_arm:
-                            wa = -wa
-                        if lit == 1:
-                            if wa > 0.0:
-                                scv = counts[a] * l1v / wa
-                                if best < 0 or scv > best_score or (
-                                    scv == best_score and perm[a] < perm[best]
-                                ):
-                                    best, best_score = a, scv
-                        else:
-                            if wa != 0.0:
-                                scv = counts[a] * l1v / abs(wa)
-                                if best < 0 or scv < best_score or (
-                                    scv == best_score and perm[a] < perm[best]
-                                ):
-                                    best, best_score = a, scv
-                    if best >= 0:
-                        a1 = best
-                    else:
-                        use_greedy = True
-                else:
-                    use_greedy = True
-            if use_greedy and a1 < 0:
-                y = setup.xt[b_arm] - setup.xt[c_arm]
-                vmv = g[b_arm, b_arm] + g[c_arm, c_arm] - 2.0 * g[b_arm, c_arm]
-                proj = t1 @ y
-                vals = np.empty(k)
-                for a in range(k):
-                    vals[a] = vmv - proj[a] * proj[a] / (1.0 + g[a, a])
-                a1 = int(kernels.argbest(vals, np.ones(k, np.uint8), perm, 0))
-
-        if row is not None:
-            row["a1"], row["a2"] = a1, a2
-
         # one scalar draw per pull, same stream order as the buffered kernel
-        if setup.law == kernels.LAW_GAUSSIAN:
-            u = rng.standard_normal()
-        else:
-            u = rng.random()
-        kernels.apply_pull(a1, u, setup.law, setup.mu_arms, setup.table,
-                           setup.table_len, setup.sigma, setup.xt, amat, minv,
-                           bvec, counts, istate, setup.recompute_every)
-        if a2 >= 0:
-            if setup.law == kernels.LAW_GAUSSIAN:
-                u = rng.standard_normal()
-            else:
-                u = rng.random()
-            kernels.apply_pull(a2, u, setup.law, setup.mu_arms, setup.table,
-                               setup.table_len, setup.sigma, setup.xt, amat,
-                               minv, bvec, counts, istate, setup.recompute_every)
+        for a in (a1, a2):
+            if a >= 0:
+                u = (rng.standard_normal() if setup.law == kernels.LAW_GAUSSIAN
+                     else rng.random())
+                kernels.apply_pull(a, u, setup.law, setup.mu_arms, setup.table,
+                                   setup.table_len, setup.sigma, setup.xt,
+                                   amat, minv, bvec, counts, istate,
+                                   setup.recompute_every)
 
-    trace_obj = None
-    if setup.trace:
-        nrows = len(rows)
-        trace_obj = Trace(
-            t=np.array([r["t"] for r in rows], np.int64),
-            J=(np.stack([r["J"] for r in rows])
-               if nrows else np.empty((0, m), np.int64)),
-            b=np.array([r["b"] for r in rows], np.int64),
-            c=np.array([r["c"] for r in rows], np.int64),
-            a1=np.array([r["a1"] for r in rows], np.int64),
-            a2=np.array([r["a2"] for r in rows], np.int64),
-            stat=np.array([r["stat"] for r in rows]),
-            threshold=np.array([r["thr"] for r in rows]),
-            means=(np.stack([r["mu"] for r in rows])
-                   if nrows else np.empty((0, k))),
-            widths=(np.stack([r["w"] for r in rows])
-                    if nrows else np.empty((0, k, k))),
-        )
-    return _finalize(setup, istate, counts, j_out, f_out, status, trace_obj)
+    status = kernels.STOPPED if stopped else kernels.TRUNCATED
+    trace_obj = _trace(segments, m, setup.k) if setup.trace else None
+    return _finalize(setup, istate, counts, jset, (stat, level), status,
+                     trace_obj)
 
 
 def run_trial(spec: AlgorithmSpec, instance: Instance, m: int, epsilon: float,

@@ -560,16 +560,22 @@ def all_pair_designs(xmat, tol):
 
 
 @njit(cache=True, nogil=True)
+def reward(a, u, law_kind, mu_arms, table, table_len, sigma):
+    """The reward of arm a for noise value u: standard normal u for the
+    Gaussian law, uniform u in [0, 1) picking a table entry otherwise."""
+    if law_kind == LAW_GAUSSIAN:
+        return mu_arms[a] + sigma * u
+    idx = int(u * table_len[a])
+    if idx >= table_len[a]:
+        idx = table_len[a] - 1
+    return table[a, idx]
+
+
+@njit(cache=True, nogil=True)
 def apply_pull(a, u, law_kind, mu_arms, table, table_len, sigma,
                xt, amat, minv, bvec, counts, istate, recompute_every):
     """Draw the reward for arm a from noise value u and update the estimator."""
-    if law_kind == LAW_GAUSSIAN:
-        r = mu_arms[a] + sigma * u
-    else:
-        idx = int(u * table_len[a])
-        if idx >= table_len[a]:
-            idx = table_len[a] - 1
-        r = table[a, idx]
+    r = reward(a, u, law_kind, mu_arms, table, table_len, sigma)
     x = xt[a]
     counts[a] += 1
     bvec += r * x

@@ -1,6 +1,7 @@
 """The gap-index loop: rule operations against brute force, preset wiring,
 and bit-identity between the compiled kernel and the reference loop."""
 
+import itertools
 import math
 
 import numpy as np
@@ -120,6 +121,17 @@ def test_rule_validation_errors():
         compute_bt(B_MAX_OVER_MTH, [0], b)  # needs m
     with pytest.raises(ConfigError):
         stopping_stat(STOP_UGAPE, [0], 0, 1, b)  # needs m
+    with pytest.raises(ConfigError):
+        select_arm("bogus", 0, 1, EstimatorState(np.eye(3), sigma=0.5, lam=0.1))
+
+
+def test_ugape_stat_skips_nan_scores_like_the_kernel():
+    """Arm 0's incoming indices are NaN, so its m-th largest is NaN; the
+    kernel's strict > scan from -inf never takes it, in any order of J."""
+    nan = np.nan
+    b = np.array([[0.0, 1.0, 2.0], [nan, 0.0, 3.0], [nan, 0.5, 0.0]])
+    assert stopping_stat(STOP_UGAPE, [0, 1], 0, 2, b, m=1) == 1.0
+    assert stopping_stat(STOP_UGAPE, [1, 0], 0, 2, b, m=1) == 1.0
 
 
 def greedy_oracle(est, b_arm, c_arm):
@@ -288,40 +300,86 @@ ALGO_VARIANTS = [
 ]
 
 
+TRACE_FIELDS = ("t", "J", "b", "c", "a1", "a2", "stat", "threshold", "means",
+                "widths")
+
+
+def assert_engines_agree(spec, inst, seed, **kw):
+    """The compiled chunked kernel and the reference loop over the library
+    rule functions agree bit for bit: tau, recommendation, counts,
+    statistic, and every trace field.
+
+    The literal-formula optimized rule re-selects its own argmax forever
+    (pull count feeds the score), so it never stops; it is capped and the
+    truncated prefixes compared.  Every other trial here stops well inside
+    its cap, which keeps a trial that no longer stops from filling memory
+    with its trace.
+    """
+    literal = spec.paper_literal_optimized
+    kw = dict(kw, trace=True, max_rounds=400 if literal else 20_000)
+    a = run_trial(spec, inst, 2, 0.0, 0.05, seed=seed, engine="kernel", **kw)
+    b = run_trial(spec, inst, 2, 0.0, 0.05, seed=seed, engine="reference", **kw)
+    label = spec.describe()
+    assert a.truncated == literal, label
+    assert a.tau == b.tau, label
+    assert a.recommendation == b.recommendation, label
+    assert a.truncated == b.truncated, label
+    assert a.stat == b.stat and a.threshold_final == b.threshold_final, label
+    assert a.violation == b.violation and a.event_E_held == b.event_E_held, label
+    assert np.array_equal(a.counts, b.counts), label
+    for field in TRACE_FIELDS:
+        va, vb = getattr(a.trace, field), getattr(b.trace, field)
+        assert va.tobytes() == vb.tobytes(), f"{label}: trace field {field} differs"
+    return a
+
+
 @pytest.mark.parametrize("name,over", ALGO_VARIANTS)
 def test_kernel_matches_reference_loop(name, over):
-    """The compiled chunked kernel and the plain-python reference loop agree
-    bit for bit: tau, recommendation, counts, statistic, and full trace."""
     inst = make_classic_instance(5, 2, 0.9, sigma=0.5)
     spec = preset(name, **over)
     lam = 0.025 if spec.use_features else None
-    # The literal-formula optimized rule re-selects its own argmax forever
-    # (pull count feeds the score), so it never stops; cap it and compare
-    # the truncated prefixes instead.
-    rounds = 400 if spec.paper_literal_optimized else 10_000_000
     for seed in (0, 1):
-        kw = dict(lam=lam, trace=True, max_rounds=rounds)
-        a = run_trial(spec, inst, 2, 0.0, 0.05, seed=(seed, 7), engine="kernel", **kw)
-        b = run_trial(spec, inst, 2, 0.0, 0.05, seed=(seed, 7), engine="reference", **kw)
-        assert a.tau == b.tau
-        assert a.recommendation == b.recommendation
-        assert a.stat == b.stat and a.threshold_final == b.threshold_final
-        assert a.violation == b.violation and a.event_E_held == b.event_E_held
-        assert np.array_equal(a.counts, b.counts)
-        for field in ("t", "J", "b", "c", "a1", "a2", "stat", "threshold",
-                      "means", "widths"):
-            va, vb = getattr(a.trace, field), getattr(b.trace, field)
-            assert va.tobytes() == vb.tobytes(), f"trace field {field} differs"
+        assert_engines_agree(spec, inst, (seed, 7), lam=lam)
+
+
+def test_kernel_matches_reference_on_every_rule_combination():
+    """Every (J, b, selection, stop) rule with both width kinds, the literal
+    optimized rule included."""
+    inst = make_classic_instance(5, 2, 0.9, sigma=0.5)
+    selections = [(SEL_LARGEST_VARIANCE, False), (SEL_GREEDY, False),
+                  (SEL_OPTIMIZED, False), (SEL_OPTIMIZED, True),
+                  (SEL_BOTH_ARMS, False)]
+    for j_rule, b_rule, (selection, literal), stopping, kind in itertools.product(
+            (J_TOP_M_EMPIRICAL, J_MIN_MAX_INDEX),
+            (B_MAX_OVER_OUTSIDE, B_MAX_OVER_MTH), selections,
+            (STOP_LUCB, STOP_UGAPE), ("paired", "individual")):
+        spec = preset("m-lingape", j_rule=j_rule, b_rule=b_rule,
+                      selection=selection, stopping=stopping, index_kind=kind,
+                      paper_literal_optimized=literal)
+        assert_engines_agree(spec, inst, (0, 7), lam=0.025)
+
+
+def test_kernel_matches_reference_past_a_dense_recompute(classic42):
+    res = assert_engines_agree(preset("m-lingape"), classic42, (0, 7), lam=0.025,
+                               recompute_every=37)
+    assert res.tau > 2 * 37
+
+
+def test_kernel_matches_reference_on_the_first_violation():
+    """Pairs (0, 3) and (1, 2) are both violated in the first round that
+    has a violation; both scans report the first one row by row."""
+    inst = make_canonical_instance([0.5, 1.0, -0.2, -1.0], sigma=0.05)
+    res = assert_engines_agree(preset("m-lingape"), inst, (0, 7), lam=0.025)
+    assert res.violation == (0, 0, 3)
 
 
 def test_kernel_matches_reference_on_table_law():
+    """Table rewards; the feature-blind presets also draw their init pass
+    through kernels.reward."""
     rows = [[0.9, 0.7, 0.8], [0.6, 0.5, 0.7], [0.35, 0.2], [0.1, 0.0, 0.2]]
     inst = make_table_instance(rows, sigma=0.5)
-    spec = preset("m-lingape")
-    a = run_trial(spec, inst, 2, 0.0, 0.05, seed=11, engine="kernel", trace=True)
-    b = run_trial(spec, inst, 2, 0.0, 0.05, seed=11, engine="reference", trace=True)
-    assert a.tau == b.tau and a.recommendation == b.recommendation
-    assert a.trace.means.tobytes() == b.trace.means.tobytes()
+    for name in ("m-lingape", "lucb", "ugape"):
+        assert_engines_agree(preset(name), inst, 11)
 
 
 def test_trace_contents_are_consistent(classic42):
