@@ -9,10 +9,12 @@ run_trial drives the compiled chunked kernel, kernels.trial_chunk, by default.
 engine="reference" runs a plain-python loop whose rounds compose the library
 rule functions below (compute_bt, compute_ct, stopping_stat and the private
 _candidates and _select behind compute_Jt and select_arm); it shares no rule
-code with trial_chunk, only the numerics both call.  Both consume the
-per-trial random stream in the same order (tie-break permutation, then one
-noise value per pull), so they produce bit-identical results, which is a
-tested property rather than a design hope: each form checks the other.
+code with trial_chunk, only the numerics both call: round_quantities for the
+index matrix, and kernels.reward then kernels.record_pull for each pull, the
+same update EstimatorState makes.  Both consume the per-trial random stream
+in the same order (tie-break permutation, then one noise value per pull), so
+they produce bit-identical results, which is a tested property rather than a
+design hope: each form checks the other.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InfeasibleDesign
+from .errors import ConfigError, DimensionMismatch, InfeasibleDesign
 from .estimator import EstimatorState
 from .indices import (
     CLASSICAL, HEURISTIC, INDIVIDUAL, PAIRED, THEORETICAL, IndexConfig,
@@ -176,13 +178,19 @@ def _candidates(rule: str, means, B, m: int, perm) -> np.ndarray:
     raise ConfigError(f"unknown j_rule {rule!r}")
 
 
+def _check_m(m, k: int, what: str) -> None:
+    if m is None:
+        raise ConfigError(f"{what} needs m")
+    if not 1 <= m <= k - 1:
+        raise ConfigError(f"{what} needs 1 <= m <= K-1, got m={m}, K={k}")
+
+
 def compute_Jt(rule: str, means, B, m: int, perm=None) -> np.ndarray:
     """Candidate set J(t): the m empirically best arms, or the m arms whose
     m-th largest incoming index is smallest."""
     means = np.ascontiguousarray(means, dtype=np.float64)
     k = means.shape[0]
-    if m >= k:
-        raise ConfigError(f"need m < K, got m={m}, K={k}")
+    _check_m(m, k, "J(t)")
     return np.sort(_candidates(rule, means, B, m, _as_perm(perm, k)))
 
 
@@ -196,6 +204,8 @@ def compute_bt(rule: str, J, B, m: Optional[int] = None, perm=None) -> int:
         in_j[j] = 1
     if in_j.sum() == k:
         raise ConfigError("J must leave at least one arm outside")
+    if rule == B_MAX_OVER_MTH:
+        _check_m(m, k, "max-over-mth b_rule")
     vals = np.full(k, -np.inf)
     for j in range(k):
         if not in_j[j]:
@@ -207,8 +217,6 @@ def compute_bt(rule: str, J, B, m: Optional[int] = None, perm=None) -> int:
                     best = B[i, j]
             vals[j] = best
         elif rule == B_MAX_OVER_MTH:
-            if m is None:
-                raise ConfigError("max-over-mth b_rule needs m")
             vals[j] = kernels.mth_largest_excluding(B[:, j], j, m)
         else:
             raise ConfigError(f"unknown b_rule {rule!r}")
@@ -241,8 +249,7 @@ def stopping_stat(rule: str, J, b: int, c: int, B,
     if rule == STOP_LUCB:
         return float(B[c, b])
     if rule == STOP_UGAPE:
-        if m is None:
-            raise ConfigError("ugape stopping needs m")
+        _check_m(m, B.shape[0], "ugape stopping")
         stat = -np.inf
         for j in np.sort(np.asarray(J, dtype=np.int64)):
             v = kernels.mth_largest_excluding(B[:, j], j, m)
@@ -293,10 +300,14 @@ def select_arm(rule: str, b: int, c: int, estimator: EstimatorState,
     """
     if rule not in _SEL_CODES:
         raise ConfigError(f"unknown selection rule {rule!r}")
+    for arm in (b, c):
+        if not 0 <= arm < estimator.K:
+            raise DimensionMismatch(
+                f"arm {arm} out of range [0, {estimator.K})")
     if b == c:
         raise ConfigError("anchor and challenger must differ")
     perm = _as_perm(perm, estimator.K)
-    t1 = estimator._xt @ estimator._require_design().inverse
+    t1 = estimator._xt @ estimator._require_design()
     g = t1 @ estimator.features
     design = None
     if rule == SEL_OPTIMIZED:
@@ -675,8 +686,8 @@ def _run_reference(setup: _TrialSetup, rng) -> RunResult:
     (_candidates, compute_bt, compute_ct, stopping_stat, _select).
 
     It shares no rule code with kernels.trial_chunk, only the numerics both
-    call (threshold_value, round_quantities, apply_pull), and draws one noise
-    value per pull instead of reading chunked buffers.  It must stay
+    call (threshold_value, round_quantities, reward, record_pull), and draws
+    one noise value per pull instead of reading chunked buffers.  It must stay
     bit-identical to _run_kernel, which makes it the independent check of
     the kernel's rules and bookkeeping.
     """
@@ -726,10 +737,10 @@ def _run_reference(setup: _TrialSetup, rng) -> RunResult:
             if a >= 0:
                 u = (rng.standard_normal() if setup.law == kernels.LAW_GAUSSIAN
                      else rng.random())
-                kernels.apply_pull(a, u, setup.law, setup.mu_arms, setup.table,
-                                   setup.table_len, setup.sigma, setup.xt,
-                                   amat, minv, bvec, counts, istate,
-                                   setup.recompute_every)
+                r = kernels.reward(a, u, setup.law, setup.mu_arms,
+                                   setup.table, setup.table_len, setup.sigma)
+                kernels.record_pull(a, r, setup.xt, amat, minv, bvec, counts,
+                                    istate, setup.recompute_every)
 
     status = kernels.STOPPED if stopped else kernels.TRUNCATED
     trace_obj = _trace(segments, m, setup.k) if setup.trace else None

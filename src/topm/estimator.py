@@ -1,16 +1,21 @@
 """Online regularized least squares over arm features.
 
-EstimatorState maintains the design matrix lam*I + sum N_a x_a x_a^T (with its
-inverse), the cumulative response vector, per-arm counts, and exposes the
-empirical means, gaps, and deviation norms the gap indices are built from.
+EstimatorState holds the arrays a trial loop updates: the design matrix
+lam*I + sum N_a x_a x_a^T with its inverse, the cumulative response vector,
+per-arm counts and the update counters.  Each pull goes through
+kernels.record_pull, the update kernels.trial_chunk makes, and the state
+exposes the empirical means and deviation norms the gap indices are built
+from.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError, DimensionMismatch
-from .linalg import PosDefState
 
 
 class EstimatorState:
@@ -18,7 +23,8 @@ class EstimatorState:
 
     lam = 0 is allowed only for canonical (identity) features and defers the
     inverse until every arm has been pulled at least once, which is exactly
-    what the mandatory initialization pass guarantees.
+    what the mandatory initialization pass guarantees.  Until then minv is
+    None and the pulls only accumulate the design.
     """
 
     def __init__(self, features, sigma: float, lam: float,
@@ -39,64 +45,64 @@ class EstimatorState:
                 "lambda = 0 is only supported for canonical features with a "
                 "full initialization pass"
             )
-        self.design = (
-            PosDefState.from_regularization(n, self.lam, recompute_every)
-            if self.lam > 0 else None
-        )
-        self._raw_design = None if self.lam > 0 else np.zeros((n, n))
+        self.amat = self.lam * np.eye(n)
+        self.minv = np.eye(n) / self.lam if self.lam > 0 else None
         self.response = np.zeros(n)
         self.counts = np.zeros(k, dtype=np.int64)
-        self.round = 0
+        self.istate = np.zeros(kernels.ISTATE_LEN, np.int64)
 
     @property
     def K(self) -> int:
         return self.features.shape[1]
 
     @property
-    def N(self) -> int:
-        return self.features.shape[0]
+    def round(self) -> int:
+        return int(self.istate[kernels.IS_T])
 
     def update(self, arm: int, reward: float) -> "EstimatorState":
         """Record one pull of ``arm`` with the observed reward.  Returns self."""
         if not 0 <= arm < self.K:
             raise DimensionMismatch(f"arm {arm} out of range [0, {self.K})")
+        r = float(reward)
+        if self.minv is not None:
+            kernels.record_pull(arm, r, self._xt, self.amat, self.minv,
+                                self.response, self.counts, self.istate,
+                                self.recompute_every)
+            return self
         x = self._xt[arm]
         self.counts[arm] += 1
-        self.round += 1
-        self.response += float(reward) * x
-        if self.design is not None:
-            self.design.rank_one_update(x)
-        else:
-            self._raw_design += x.reshape(-1, 1) * x.reshape(1, -1)
-            if np.all(self.counts >= 1):
-                self.design = PosDefState(self._raw_design,
-                                          recompute_every=self.recompute_every)
-                self._raw_design = None
+        self.istate[kernels.IS_T] += 1
+        self.response += r * x
+        self.amat += x.reshape(-1, 1) * x.reshape(1, -1)
+        if np.all(self.counts >= 1):
+            self.minv = np.linalg.inv(self.amat)
+            kernels.symmetrize(self.minv)
         return self
 
-    def _require_design(self) -> PosDefState:
-        if self.design is None:
+    def _require_design(self) -> np.ndarray:
+        if self.minv is None:
             raise ConfigError(
                 "design not yet invertible: lam = 0 requires one pull of every "
                 "arm before estimates are defined"
             )
-        return self.design
+        return self.minv
 
     @property
     def theta_hat(self) -> np.ndarray:
-        return self._require_design().inverse @ self.response
+        return self._require_design() @ self.response
 
     def empirical_mean(self, arm: int) -> float:
         if not 0 <= arm < self.K:
             raise DimensionMismatch(f"arm {arm} out of range [0, {self.K})")
         return float(self._xt[arm] @ self.theta_hat)
 
-    def empirical_gap(self, i: int, j: int) -> float:
-        return self.empirical_mean(i) - self.empirical_mean(j)
-
     def deviation(self, y) -> float:
         """sigma * ||y|| in the inverse-design norm (the width factor)."""
-        return self.sigma * float(np.sqrt(self._require_design().quad_form(y)))
-
-    def arm_deviation(self, arm: int) -> float:
-        return self.deviation(self._xt[arm])
+        minv = self._require_design()
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        if y.shape != (minv.shape[0],):
+            raise DimensionMismatch(
+                f"vector has shape {y.shape}, expected ({minv.shape[0]},)"
+            )
+        q = kernels.quad_form_inv(minv, y)
+        return self.sigma * math.sqrt(q if q > 0.0 else 0.0)

@@ -146,40 +146,15 @@ def _require_threshold(config: IndexConfig) -> ThresholdSpec:
     return config.threshold
 
 
-def gap_index(estimator: EstimatorState, i: int, j: int,
-              config: IndexConfig, t) -> float:
-    """B_{i,j}(t) = empirical gap + width for the configured index kind."""
-    level = threshold(_require_threshold(config), t)
-    xt = estimator._xt
-    if config.kind == PAIRED:
-        width = level * estimator.deviation(xt[i] - xt[j])
-    else:
-        width = level * (estimator.deviation(xt[i]) + estimator.deviation(xt[j]))
-    return estimator.empirical_gap(i, j) + width
-
-
-def index_matrix(estimator: EstimatorState, config: IndexConfig, t) -> np.ndarray:
-    """All K x K gap indices; entry (i, j) equals gap_index(i, j).
-
-    Library convenience built on entrywise gap_index calls; the engine's hot
-    loop computes the same matrix in one kernel call.
-    """
-    k = estimator.K
-    out = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = gap_index(estimator, i, j, config, t)
-    return out
-
-
 def index_components(estimator: EstimatorState, config: IndexConfig, t):
-    """(means, widths, B) via the shared kernel, as the engine computes them."""
+    """(means, widths, B) for the estimator's current state, from
+    kernels.round_quantities, the call both trial loops make each round."""
     level = threshold(_require_threshold(config), t)
-    design = estimator._require_design()
+    minv = estimator._require_design()
     xt = estimator._xt
     xmat = np.ascontiguousarray(estimator.features)
     mu, w, b, _, _ = kernels.round_quantities(
-        xt, xmat, design.inverse, estimator.response, level,
+        xt, xmat, minv, estimator.response, level,
         estimator.sigma, config.paired_code,
     )
     return mu, w, b

@@ -572,10 +572,10 @@ def reward(a, u, law_kind, mu_arms, table, table_len, sigma):
 
 
 @njit(cache=True, nogil=True)
-def apply_pull(a, u, law_kind, mu_arms, table, table_len, sigma,
-               xt, amat, minv, bvec, counts, istate, recompute_every):
-    """Draw the reward for arm a from noise value u and update the estimator."""
-    r = reward(a, u, law_kind, mu_arms, table, table_len, sigma)
+def record_pull(a, r, xt, amat, minv, bvec, counts, istate, recompute_every):
+    """Record reward r of arm a in the estimator arrays: count, response and
+    design, a Sherman-Morrison step on the inverse, and a dense re-inversion
+    every recompute_every updates."""
     x = xt[a]
     counts[a] += 1
     bvec += r * x
@@ -789,10 +789,11 @@ def trial_chunk(
 
         u = buf[istate[IS_POS]]
         istate[IS_POS] += 1
-        apply_pull(a1, u, law_kind, mu_arms, table, table_len, noise_sigma,
-                   xt, amat, minv, bvec, counts, istate, recompute_every)
+        r = reward(a1, u, law_kind, mu_arms, table, table_len, noise_sigma)
+        record_pull(a1, r, xt, amat, minv, bvec, counts, istate, recompute_every)
         if a2 >= 0:
             u = buf[istate[IS_POS]]
             istate[IS_POS] += 1
-            apply_pull(a2, u, law_kind, mu_arms, table, table_len, noise_sigma,
-                       xt, amat, minv, bvec, counts, istate, recompute_every)
+            r = reward(a2, u, law_kind, mu_arms, table, table_len, noise_sigma)
+            record_pull(a2, r, xt, amat, minv, bvec, counts, istate,
+                        recompute_every)

@@ -13,7 +13,7 @@ from topm.engine import (B_MAX_OVER_MTH, B_MAX_OVER_OUTSIDE, J_MIN_MAX_INDEX,
                          STOP_UGAPE, compute_Jt, compute_bt, compute_ct,
                          pair_designs, preset, run_trial, select_arm,
                          stopping_stat)
-from topm.errors import ConfigError
+from topm.errors import ConfigError, DimensionMismatch
 from topm.estimator import EstimatorState
 from topm.instances import (make_canonical_instance, make_classic_instance,
                             make_table_instance)
@@ -123,6 +123,21 @@ def test_rule_validation_errors():
         stopping_stat(STOP_UGAPE, [0], 0, 1, b)  # needs m
     with pytest.raises(ConfigError):
         select_arm("bogus", 0, 1, EstimatorState(np.eye(3), sigma=0.5, lam=0.1))
+    # m must lie in [1, K-1], where the m-th largest off-diagonal entry of a
+    # column exists
+    b5 = np.arange(9.0).reshape(3, 3)
+    for m in (0, 3, 4):
+        with pytest.raises(ConfigError):
+            stopping_stat(STOP_UGAPE, [0], 0, 1, b5, m=m)
+        with pytest.raises(ConfigError):
+            compute_Jt(J_MIN_MAX_INDEX, means, b5, m)
+        with pytest.raises(ConfigError):
+            compute_bt(B_MAX_OVER_MTH, [0], b5, m=m)
+    # anchor and challenger are arm ids in [0, K)
+    est = EstimatorState(np.eye(3), sigma=0.5, lam=0.1)
+    for b_arm, c_arm in ((0, -1), (-1, 0), (3, 1), (1, 3)):
+        with pytest.raises(DimensionMismatch):
+            select_arm(SEL_LARGEST_VARIANCE, b_arm, c_arm, est)
 
 
 def test_ugape_stat_skips_nan_scores_like_the_kernel():
@@ -138,7 +153,7 @@ def greedy_oracle(est, b_arm, c_arm):
     y = est.features[:, b_arm] - est.features[:, c_arm]
     vals = []
     for a in range(est.K):
-        mat = est.design.matrix + np.outer(est.features[:, a], est.features[:, a])
+        mat = est.amat + np.outer(est.features[:, a], est.features[:, a])
         vals.append(float(y @ np.linalg.inv(mat) @ y))
     return int(np.argmin(vals))
 
@@ -150,7 +165,7 @@ def test_select_arm_rules():
     est = EstimatorState(x, sigma=0.5, lam=0.1)
     for _ in range(30):
         est.update(int(rng.integers(5)), float(rng.standard_normal()))
-    dinv = np.linalg.inv(est.design.matrix)
+    dinv = np.linalg.inv(est.amat)
 
     lv = select_arm(SEL_LARGEST_VARIANCE, 1, 3, est)
     q1 = float(x[:, 1] @ dinv @ x[:, 1])

@@ -8,9 +8,9 @@ import pytest
 from topm.errors import ConfigError
 from topm.estimator import EstimatorState
 from topm.indices import (CLASSICAL, HEURISTIC, INDIVIDUAL, PAIRED,
-                          THEORETICAL, IndexConfig, ThresholdSpec, gap_index,
-                          index_components, index_matrix,
-                          normalize_threshold_kind, threshold)
+                          THEORETICAL, IndexConfig, ThresholdSpec,
+                          index_components, normalize_threshold_kind,
+                          threshold)
 
 
 def heuristic_spec(delta=0.05):
@@ -101,13 +101,14 @@ def test_gap_index_formula_paired_and_individual():
     spec = heuristic_spec()
     t = est.round
     level = threshold(spec, t)
-    dinv = np.linalg.inv(est.design.matrix)
+    dinv = np.linalg.inv(est.amat)
     x = est.features
     for kind in (PAIRED, INDIVIDUAL):
         cfg = IndexConfig(kind=kind, threshold=spec)
+        _, _, b = index_components(est, cfg, t)
         for i in range(4):
             for j in range(4):
-                gap = est.empirical_gap(i, j)
+                gap = est.empirical_mean(i) - est.empirical_mean(j)
                 d = x[:, i] - x[:, j]
                 if kind == PAIRED:
                     width = level * 0.5 * math.sqrt(d @ dinv @ d)
@@ -116,7 +117,7 @@ def test_gap_index_formula_paired_and_individual():
                         math.sqrt(x[:, i] @ dinv @ x[:, i])
                         + math.sqrt(x[:, j] @ dinv @ x[:, j])
                     )
-                assert gap_index(est, i, j, cfg, t) == pytest.approx(gap + width)
+                assert b[i, j] == pytest.approx(gap + width)
 
 
 def test_paired_never_exceeds_individual():
@@ -126,22 +127,26 @@ def test_paired_never_exceeds_individual():
         est = pulled_estimator(rng, pulls=int(rng.integers(5, 80)))
         spec = heuristic_spec()
         t = est.round
-        pair = IndexConfig(kind=PAIRED, threshold=spec)
-        ind = IndexConfig(kind=INDIVIDUAL, threshold=spec)
+        _, _, b_pair = index_components(est, IndexConfig(PAIRED, spec), t)
+        _, _, b_ind = index_components(est, IndexConfig(INDIVIDUAL, spec), t)
         for i in range(4):
             for j in range(4):
-                assert gap_index(est, i, j, pair, t) <= (
-                    gap_index(est, i, j, ind, t) + 1e-12
-                )
+                assert b_pair[i, j] <= b_ind[i, j] + 1e-12
 
 
 def test_index_matrix_agrees_with_components():
-    """Entrywise library calls equal the fused kernel output bitwise-close."""
+    """The fused kernel output equals B_ij built entry by entry from the
+    estimator's means and deviations."""
     rng = np.random.default_rng(5)
     est = pulled_estimator(rng)
-    cfg = IndexConfig(kind=PAIRED, threshold=heuristic_spec())
+    spec = heuristic_spec()
+    cfg = IndexConfig(kind=PAIRED, threshold=spec)
     t = est.round
-    mat = index_matrix(est, cfg, t)
+    level = threshold(spec, t)
+    x = est.features
+    mat = np.array([[est.empirical_mean(i) - est.empirical_mean(j)
+                     + level * est.deviation(x[:, i] - x[:, j])
+                     for j in range(4)] for i in range(4)])
     mu, w, b = index_components(est, cfg, t)
     assert np.abs(mat - b).max() < 1e-10
     assert np.abs(np.diag(b)).max() == 0.0
@@ -155,4 +160,4 @@ def test_gap_index_without_threshold_raises():
     rng = np.random.default_rng(6)
     est = pulled_estimator(rng)
     with pytest.raises(ConfigError):
-        gap_index(est, 0, 1, IndexConfig(kind=PAIRED), 10)
+        index_components(est, IndexConfig(kind=PAIRED), 10)
