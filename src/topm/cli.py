@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--delta", type=float, default=0.05)
     r.add_argument("--runs", type=int, default=500)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--trace", action="store_true", help="record per-round traces")
     r.add_argument("--out", help="per-run CSV path")
     r.add_argument("--summary", help="summary JSON path")
     r.add_argument("--quantiles", help="quantile table CSV path")
@@ -159,7 +158,7 @@ def _cmd_run(args) -> int:
         algorithm=spec, instance=args.instance, m=args.m, epsilon=args.epsilon,
         delta=args.delta, runs=args.runs, seed=args.seed, sigma=args.sigma,
         lam=args.lam, threshold_kind=args.threshold, max_rounds=args.max_rounds,
-        trace=args.trace, workers=args.workers, out_csv=args.out,
+        workers=args.workers, out_csv=args.out,
         summary_json=args.summary, quantiles_csv=args.quantiles,
     )
     s = run_campaign(config)

@@ -27,7 +27,6 @@ H_MLINGAPE_2 = "m-lingape-2"
 H_KINDS = (H_LUCB, H_UGAPE, H_MLINGAPE_1, H_MLINGAPE_2)
 
 _RESIDUAL_TOL = 1e-8
-_DESIGN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,8 @@ class DesignWeights:
         return tuple(int(a) for a in np.nonzero(self.weights)[0])
 
 
-def solve_l1_design(features, i: int, j: int, tol: float = 1e-9) -> DesignWeights:
+def solve_l1_design(features, i: int, j: int,
+                    tol: float = kernels.DESIGN_TOL) -> DesignWeights:
     """Minimum-L1 w with X w = x_i - x_j, via the split LP (w = u - v).
 
     The L1 value is unique; the weight vector need not be.  i == j returns
@@ -173,7 +173,7 @@ def h_constant(kind: str, instance, m: int, epsilon: float = 0.0,
                 "the design-based constant needs an instance with features"
             )
         xmat = np.ascontiguousarray(features, dtype=np.float64)
-        wstar, _, wok = kernels.all_pair_designs(xmat, _DESIGN_TOL)
+        wstar, _, wok = kernels.all_pair_designs(xmat, kernels.DESIGN_TOL)
         *_, best = _design_maxima(  # all pairs, in (i, j) order
             _pair_order(gaps, epsilon), k,
             lambda i, j: wstar[i, j] if wok[i, j] else None)
@@ -319,7 +319,7 @@ def _fraction_outcomes(instances, m: int) -> list:
         xmats = np.stack([r.xmat for r in live]).repeat(sizes, axis=0)
         targets = np.concatenate([(r.xmat[:, i] - r.xmat[:, j]).T
                                   for r, (i, j) in zip(live, blocks)])
-        status, w, _ = kernels.simplex_l1_many(xmats, targets, _DESIGN_TOL)
+        status, w, _ = kernels.simplex_l1_many(xmats, targets, kernels.DESIGN_TOL)
         at = np.cumsum(sizes)[:-1]
         for r, b, s, wb in zip(live, blocks, np.split(status, at),
                                np.split(w, at)):

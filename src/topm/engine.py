@@ -3,7 +3,8 @@
 One round: compute the index matrix, pick the candidate set J(t), the anchor
 b_t inside it, the challenger c_t outside it, check the stopping statistic,
 select the arm(s) to pull, update the estimator.  The five named presets
-(lucb, ugape, lingape, m-lingape, lingifa) are particular rule assignments.
+(lucb, ugape, lingape, m-lingape, lingifa) are particular rule assignments,
+one row each of the _PRESETS table.
 
 run_trial drives the compiled chunked kernel, kernels.trial_chunk, by default.
 engine="reference" runs a plain-python loop whose rounds compose the library
@@ -58,7 +59,21 @@ _SEL_CODES = {SEL_LARGEST_VARIANCE: kernels.SEL_LARGEST_VARIANCE,
               SEL_BOTH_ARMS: kernels.SEL_BOTH_ARMS}
 _STOP_CODES = {STOP_LUCB: kernels.STOP_LUCB, STOP_UGAPE: kernels.STOP_UGAPE}
 
-PRESET_NAMES = ("lucb", "ugape", "lingape", "m-lingape", "lingifa")
+# name -> (j_rule, b_rule, selection, stopping, index kind, threshold kind,
+#          use_features)
+_PRESETS = {
+    "lucb": (J_TOP_M_EMPIRICAL, B_MAX_OVER_OUTSIDE, SEL_LARGEST_VARIANCE,
+             STOP_LUCB, INDIVIDUAL, CLASSICAL, False),
+    "ugape": (J_MIN_MAX_INDEX, B_MAX_OVER_OUTSIDE, SEL_LARGEST_VARIANCE,
+              STOP_UGAPE, INDIVIDUAL, CLASSICAL, False),
+    "lingape": (J_TOP_M_EMPIRICAL, B_MAX_OVER_OUTSIDE, SEL_GREEDY, STOP_LUCB,
+                PAIRED, HEURISTIC, True),
+    "m-lingape": (J_TOP_M_EMPIRICAL, B_MAX_OVER_OUTSIDE, SEL_GREEDY, STOP_LUCB,
+                  PAIRED, HEURISTIC, True),
+    "lingifa": (J_MIN_MAX_INDEX, B_MAX_OVER_MTH, SEL_LARGEST_VARIANCE,
+                STOP_UGAPE, PAIRED, HEURISTIC, True),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -66,8 +81,12 @@ class AlgorithmSpec:
     """One named algorithm: the four rule slots plus index configuration.
 
     use_features=False runs the classical (feature-blind) version through the
-    canonical identity embedding with lambda = 0, which is why those presets
-    carry a mandatory initialization pass.
+    canonical identity embedding with lambda = 0, whose design has no inverse
+    until every arm has been pulled once.  So init_pass, the
+    pull-every-arm-once pass, is derived: it runs exactly for feature-blind
+    algorithms.  The threshold is bound per trial from the instance and
+    delta, so index.threshold must be None; index.threshold_kind names the
+    default kind.
     """
 
     name: str
@@ -76,7 +95,6 @@ class AlgorithmSpec:
     selection: str
     stopping: str
     index: IndexConfig
-    init_pass: bool = False
     use_features: bool = True
     paper_literal_optimized: bool = False
 
@@ -89,6 +107,15 @@ class AlgorithmSpec:
             raise ConfigError(f"unknown selection rule {self.selection!r}")
         if self.stopping not in _STOP_CODES:
             raise ConfigError(f"unknown stopping rule {self.stopping!r}")
+        if self.index.threshold is not None:
+            raise ConfigError(
+                "an algorithm's threshold is bound per trial; give its "
+                "IndexConfig a threshold_kind, not a bound threshold"
+            )
+
+    @property
+    def init_pass(self) -> bool:
+        return not self.use_features
 
     def describe(self) -> str:
         return (f"{self.name}[J={self.j_rule}, b={self.b_rule}, "
@@ -99,58 +126,23 @@ class AlgorithmSpec:
 def preset(name: str, *, selection: Optional[str] = None,
            j_rule: Optional[str] = None, b_rule: Optional[str] = None,
            stopping: Optional[str] = None, index_kind: Optional[str] = None,
-           threshold_default: Optional[str] = None,
-           init_pass: Optional[bool] = None,
            paper_literal_optimized: bool = False,
            label: Optional[str] = None) -> AlgorithmSpec:
-    """A named algorithm with optional per-slot overrides."""
+    """A named algorithm with optional per-slot overrides; an override left
+    None keeps the preset's value."""
     key = name.strip().lower()
-    if key == "lucb":
-        base = dict(j_rule=J_TOP_M_EMPIRICAL, b_rule=B_MAX_OVER_OUTSIDE,
-                    selection=SEL_LARGEST_VARIANCE, stopping=STOP_LUCB,
-                    index_kind=INDIVIDUAL, thr_kind=CLASSICAL,
-                    init_pass=True, use_features=False)
-    elif key == "ugape":
-        base = dict(j_rule=J_MIN_MAX_INDEX, b_rule=B_MAX_OVER_OUTSIDE,
-                    selection=SEL_LARGEST_VARIANCE, stopping=STOP_UGAPE,
-                    index_kind=INDIVIDUAL, thr_kind=CLASSICAL,
-                    init_pass=True, use_features=False)
-    elif key == "lingape":
-        base = dict(j_rule=J_TOP_M_EMPIRICAL, b_rule=B_MAX_OVER_OUTSIDE,
-                    selection=SEL_GREEDY, stopping=STOP_LUCB,
-                    index_kind=PAIRED, thr_kind=HEURISTIC,
-                    init_pass=False, use_features=True)
-    elif key == "m-lingape":
-        base = dict(j_rule=J_TOP_M_EMPIRICAL, b_rule=B_MAX_OVER_OUTSIDE,
-                    selection=SEL_GREEDY, stopping=STOP_LUCB,
-                    index_kind=PAIRED, thr_kind=HEURISTIC,
-                    init_pass=False, use_features=True)
-    elif key == "lingifa":
-        base = dict(j_rule=J_MIN_MAX_INDEX, b_rule=B_MAX_OVER_MTH,
-                    selection=SEL_LARGEST_VARIANCE, stopping=STOP_UGAPE,
-                    index_kind=PAIRED, thr_kind=HEURISTIC,
-                    init_pass=False, use_features=True)
-    else:
+    if key not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    if selection is not None:
-        base["selection"] = selection
-    if j_rule is not None:
-        base["j_rule"] = j_rule
-    if b_rule is not None:
-        base["b_rule"] = b_rule
-    if stopping is not None:
-        base["stopping"] = stopping
-    if index_kind is not None:
-        base["index_kind"] = index_kind
-    if init_pass is not None:
-        base["init_pass"] = init_pass
-    index_kind_final = base.pop("index_kind")
-    thr_kind_final = base.pop("thr_kind")
-    if threshold_default is not None:
-        thr_kind_final = threshold_default
-    index = IndexConfig(kind=index_kind_final, threshold_kind=thr_kind_final)
-    return AlgorithmSpec(name=label or key, index=index,
-                         paper_literal_optimized=paper_literal_optimized, **base)
+    row = _PRESETS[key]
+    overrides = (j_rule, b_rule, selection, stopping, index_kind)
+    j, b, sel, stop, kind = (value if given is None else given
+                             for value, given in zip(row, overrides))
+    thr_kind, use_features = row[5:]
+    return AlgorithmSpec(
+        name=label or key, j_rule=j, b_rule=b, selection=sel, stopping=stop,
+        index=IndexConfig(kind=kind, threshold_kind=thr_kind),
+        use_features=use_features,
+        paper_literal_optimized=paper_literal_optimized)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +170,12 @@ def _candidates(rule: str, means, B, m: int, perm) -> np.ndarray:
     raise ConfigError(f"unknown j_rule {rule!r}")
 
 
+def _check_arms(arms, k: int) -> None:
+    for arm in arms:
+        if not 0 <= arm < k:
+            raise DimensionMismatch(f"arm {arm} out of range [0, {k})")
+
+
 def _check_m(m, k: int, what: str) -> None:
     if m is None:
         raise ConfigError(f"{what} needs m")
@@ -198,6 +196,7 @@ def compute_bt(rule: str, J, B, m: Optional[int] = None, perm=None) -> int:
     """Anchor arm in J maximizing its rule's score."""
     B = np.asarray(B, dtype=np.float64)
     k = B.shape[0]
+    _check_arms(J, k)
     perm = _as_perm(perm, k)
     in_j = np.zeros(k, np.uint8)
     for j in J:
@@ -227,6 +226,7 @@ def compute_ct(J, b: int, B, perm=None) -> int:
     """Challenger: the arm outside J with the largest index against b."""
     B = np.asarray(B, dtype=np.float64)
     k = B.shape[0]
+    _check_arms((*J, b), k)
     perm = _as_perm(perm, k)
     out_j = np.ones(k, np.uint8)
     for j in J:
@@ -246,6 +246,7 @@ def stopping_stat(rule: str, J, b: int, c: int, B,
     replaces a number.
     """
     B = np.asarray(B, dtype=np.float64)
+    _check_arms((*J, b, c), B.shape[0])
     if rule == STOP_LUCB:
         return float(B[c, b])
     if rule == STOP_UGAPE:
@@ -300,10 +301,7 @@ def select_arm(rule: str, b: int, c: int, estimator: EstimatorState,
     """
     if rule not in _SEL_CODES:
         raise ConfigError(f"unknown selection rule {rule!r}")
-    for arm in (b, c):
-        if not 0 <= arm < estimator.K:
-            raise DimensionMismatch(
-                f"arm {arm} out of range [0, {estimator.K})")
+    _check_arms((b, c), estimator.K)
     if b == c:
         raise ConfigError("anchor and challenger must differ")
     perm = _as_perm(perm, estimator.K)
@@ -378,7 +376,6 @@ class RunResult:
 
 _PAIR_DESIGN_MEMO: dict = {}
 _PAIR_DESIGN_LOCK = threading.Lock()
-_DESIGN_TOL = 1e-9
 
 
 def pair_designs(xmat: np.ndarray):
@@ -394,7 +391,7 @@ def pair_designs(xmat: np.ndarray):
         hit = _PAIR_DESIGN_MEMO.get(key)
         if hit is not None:
             return hit
-    out = kernels.all_pair_designs(xmat, _DESIGN_TOL)
+    out = kernels.all_pair_designs(xmat, kernels.DESIGN_TOL)
     with _PAIR_DESIGN_LOCK:
         _PAIR_DESIGN_MEMO.setdefault(key, out)
         return _PAIR_DESIGN_MEMO[key]
@@ -404,23 +401,20 @@ def _resolve_threshold(spec: AlgorithmSpec, threshold_kind: Optional[str],
                        delta: float, n_dim: int, feat_bound: float,
                        param_bound: Optional[float], lam: float, sigma: float,
                        k_arms: int) -> ThresholdSpec:
-    bound = spec.index.threshold
-    if threshold_kind is not None:
-        kind = normalize_threshold_kind(threshold_kind)
-    elif bound is not None:
-        kind = bound.kind
-    elif spec.index.threshold_kind is not None:
-        kind = spec.index.threshold_kind
-    else:
-        kind = HEURISTIC
+    """The trial's threshold, bound to its constants and delta.
+
+    Its kind is the run-time threshold_kind when given, else the algorithm's
+    index.threshold_kind, else heuristic.
+    """
+    if threshold_kind is None:
+        threshold_kind = spec.index.threshold_kind or HEURISTIC
+    kind = normalize_threshold_kind(threshold_kind)
     if kind == THEORETICAL and not spec.use_features:
         raise ConfigError(
             "the theoretical linear threshold needs lambda > 0, but "
             "feature-blind presets run the canonical embedding with "
             "lambda = 0; use the classical or heuristic threshold"
         )
-    if bound is not None and bound.kind == kind and bound.delta == delta:
-        return bound
     return ThresholdSpec(kind=kind, delta=delta, n_dim=n_dim,
                          feature_bound=feat_bound, param_bound=param_bound,
                          lam=lam, sigma=sigma, k_arms=k_arms)
@@ -431,7 +425,7 @@ class _TrialSetup:
 
     def __init__(self, spec: AlgorithmSpec, instance: Instance, m, epsilon,
                  delta, seed, max_rounds, lam, threshold_kind, trace, monitor,
-                 recompute_every, design_cache):
+                 recompute_every):
         if not isinstance(spec, AlgorithmSpec):
             raise ConfigError("spec must be an AlgorithmSpec")
         k = instance.K
@@ -473,8 +467,8 @@ class _TrialSetup:
                 lam_eff = sigma / 20.0
             else:
                 lam_eff = float(lam)
-            if lam_eff < 0:
-                raise ConfigError("lambda must be >= 0")
+            if lam_eff <= 0:
+                raise ConfigError("feature algorithms need lambda > 0")
         else:
             if lam not in (None, 0, 0.0):
                 raise ConfigError(
@@ -486,8 +480,6 @@ class _TrialSetup:
             feat_bound = 1.0
             param_bound = float(np.linalg.norm(instance.mu))
             lam_eff = 0.0
-        if lam_eff == 0 and not spec.init_pass:
-            raise ConfigError("lambda = 0 requires the initialization pass")
 
         self.spec = spec
         self.instance = instance
@@ -531,8 +523,7 @@ class _TrialSetup:
             self.mu_arms = self.mu_true
 
         if spec.selection == SEL_OPTIMIZED:
-            cache = design_cache if design_cache is not None else pair_designs(self.xmat)
-            self.wstar, self.wl1, self.wok = cache
+            self.wstar, self.wl1, self.wok = pair_designs(self.xmat)
         else:
             self.wstar = np.zeros((1, 1, 1))
             self.wl1 = np.zeros((1, 1))
@@ -551,33 +542,23 @@ class _TrialSetup:
 
 
 def _init_state(setup: _TrialSetup, rng):
-    """Fresh estimator arrays, optionally after the pull-every-arm-once pass.
+    """The tie-break permutation, then the trial's estimator arrays.
 
-    The init pass accumulates the design and derives one dense inverse at the
-    end (lambda = 0 has no inverse before it); Sherman-Morrison tracking
-    starts afterwards.
+    The arrays are an EstimatorState's.  A feature-blind algorithm (lambda
+    = 0) first pulls every arm once in arm order through its update, which
+    accumulates the design and inverts it once every arm is covered; the
+    trial loop's Sherman-Morrison updates start afterwards.
     """
-    n, k = setup.n_dim, setup.k
-    amat = setup.lam * np.eye(n)
-    counts = np.zeros(k, np.int64)
-    bvec = np.zeros(n)
-    istate = np.zeros(kernels.ISTATE_LEN, np.int64)
-    perm = rng.permutation(k).astype(np.int64)
+    perm = rng.permutation(setup.k).astype(np.int64)
+    est = EstimatorState(setup.xmat, setup.sigma, setup.lam,
+                         setup.recompute_every)
     if setup.spec.init_pass:
-        draws = setup.draw(rng, k)
-        for a in range(k):
-            r = kernels.reward(a, draws[a], setup.law, setup.mu_arms,
-                               setup.table, setup.table_len, setup.sigma)
-            x = setup.xt[a]
-            counts[a] += 1
-            bvec += r * x
-            amat += x.reshape(-1, 1) * x.reshape(1, -1)
-        istate[kernels.IS_T] = k
-        minv = np.linalg.inv(amat)
-        kernels.symmetrize(minv)
-    else:
-        minv = np.eye(n) / setup.lam
-    return amat, minv, bvec, counts, istate, perm
+        draws = setup.draw(rng, setup.k)
+        for a in range(setup.k):
+            est.update(a, kernels.reward(a, draws[a], setup.law, setup.mu_arms,
+                                         setup.table, setup.table_len,
+                                         setup.sigma))
+    return est.amat, est.minv, est.response, est.counts, est.istate, perm
 
 
 _CHUNK_DRAWS = 8192
@@ -752,17 +733,19 @@ def run_trial(spec: AlgorithmSpec, instance: Instance, m: int, epsilon: float,
               delta: float, seed, max_rounds: int = 10_000_000, *,
               lam: Optional[float] = None, threshold_kind: Optional[str] = None,
               trace: bool = False, monitor: Optional[bool] = None,
-              engine: str = "kernel", recompute_every: int = 1000,
-              design_cache=None) -> RunResult:
+              engine: str = "kernel", recompute_every: int = 1000) -> RunResult:
     """One independent identification trial.
 
     seed feeds numpy's default_rng; the harness derives per-trial streams as
-    (master_seed, trial_index).  monitor=None enables concentration-event
-    monitoring whenever the instance's true means are known.
+    (master_seed, trial_index).  threshold_kind overrides the algorithm's
+    index.threshold_kind (heuristic when both are None).  monitor=None enables
+    concentration-event monitoring whenever the instance's true means are
+    known.  engine="kernel" runs kernels.trial_chunk, engine="reference" the
+    plain-python loop over the rule functions; both give the same bytes.
+    Optimized selection reads its designs from the pair_designs memo.
     """
     setup = _TrialSetup(spec, instance, m, epsilon, delta, seed, max_rounds,
-                        lam, threshold_kind, trace, monitor, recompute_every,
-                        design_cache)
+                        lam, threshold_kind, trace, monitor, recompute_every)
     rng = np.random.default_rng(seed)
     if engine == "kernel":
         return _run_kernel(setup, rng)

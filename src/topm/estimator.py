@@ -5,7 +5,8 @@ lam*I + sum N_a x_a x_a^T with its inverse, the cumulative response vector,
 per-arm counts and the update counters.  Each pull goes through
 kernels.record_pull, the update kernels.trial_chunk makes, and the state
 exposes the empirical means and deviation norms the gap indices are built
-from.
+from.  Every trial's estimator is built here: the engine constructs one per
+trial and runs the feature-blind initialization pass through its update.
 """
 
 from __future__ import annotations

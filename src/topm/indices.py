@@ -7,7 +7,7 @@ the two per-arm norms, which is never smaller (triangle inequality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -104,9 +104,6 @@ class ThresholdSpec:
     def code(self) -> int:
         return _KIND_CODES[self.kind]
 
-    def with_delta(self, delta: float) -> "ThresholdSpec":
-        return replace(self, delta=delta)
-
 
 def threshold(spec: ThresholdSpec, t) -> float:
     """C_{delta,t}; non-decreasing in t, non-increasing in delta."""
@@ -119,9 +116,11 @@ def threshold(spec: ThresholdSpec, t) -> float:
 class IndexConfig:
     """Index kind (paired/individual) plus the threshold choice.
 
-    threshold may be left None on algorithm presets and bound later by the
-    engine, which knows the instance constants and delta; threshold_kind then
-    names the default kind to bind (heuristic when that is None too).
+    threshold is the bound ThresholdSpec index_components evaluates.  An
+    algorithm's IndexConfig leaves it None, since the engine binds the
+    threshold per trial from the instance constants and delta;
+    threshold_kind then names the default kind to bind (heuristic when that
+    is None too).
     """
 
     kind: str

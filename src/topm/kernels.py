@@ -205,6 +205,7 @@ def mth_largest_excluding(col, j, m):
 SIMPLEX_OK = 0
 SIMPLEX_INFEASIBLE = 1
 SIMPLEX_NUMERICAL = 2
+DESIGN_TOL = 1e-9  # pivot and feasibility tolerance of every design LP
 
 
 @njit(cache=True, nogil=True)

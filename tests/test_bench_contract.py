@@ -7,6 +7,8 @@ import or at set-up, so it is checked here on the module namespace the
 worker builds.  The benchmark's own files are only read, never changed.
 """
 
+import dataclasses
+import inspect
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -54,3 +56,27 @@ def test_micro_probes_run_on_the_library(bench, classic42):
             "kernels.simplex_l1_us"} <= set(probes)
     for key, value in probes.items():
         assert math.isfinite(value), key
+
+
+def test_workload_setup_and_keyword_calls(bench, tmp_path):
+    """The gated workloads build their inputs on the library, and the
+    keyword calls they make later in a run still bind, so that dropping an
+    option the benchmark passes fails here rather than in every run."""
+    mods, _, bench_workloads = bench
+    for name in ("classic-campaign", "complexity-sweep"):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        wl = bench_workloads.WORKLOADS[name](0, run_dir, mods)
+        wl.setup()
+        assert wl.problems == [], name
+        if name == "classic-campaign":
+            cfg = wl.cfgs[0]
+            inspect.signature(mods.engine.run_trial).bind(
+                cfg.algorithm, wl.instance, cfg.m, cfg.epsilon, cfg.delta,
+                (cfg.seed, 0), cfg.max_rounds, engine="reference", trace=True,
+                lam=cfg.lam, threshold_kind=cfg.threshold_kind)
+            assert dataclasses.replace(cfg, workers=2).workers == 2
+        else:
+            inspect.signature(
+                mods.complexity.complexity_fraction_experiment).bind(
+                wl.K, wl.N, wl.D, wl.SLICE, wl.seed, workers=2)

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from topm.engine import (B_MAX_OVER_MTH, B_MAX_OVER_OUTSIDE, J_MIN_MAX_INDEX,
-                         J_TOP_M_EMPIRICAL, SEL_BOTH_ARMS, SEL_GREEDY,
-                         SEL_LARGEST_VARIANCE, SEL_OPTIMIZED, STOP_LUCB,
-                         STOP_UGAPE, compute_Jt, compute_bt, compute_ct,
-                         pair_designs, preset, run_trial, select_arm,
-                         stopping_stat)
+                         J_TOP_M_EMPIRICAL, PRESET_NAMES, SEL_BOTH_ARMS,
+                         SEL_GREEDY, SEL_LARGEST_VARIANCE, SEL_OPTIMIZED,
+                         STOP_LUCB, STOP_UGAPE, AlgorithmSpec, compute_Jt,
+                         compute_bt, compute_ct, pair_designs, preset,
+                         run_trial, select_arm, stopping_stat)
 from topm.errors import ConfigError, DimensionMismatch
 from topm.estimator import EstimatorState
+from topm.indices import IndexConfig, ThresholdSpec
 from topm.instances import (make_canonical_instance, make_classic_instance,
                             make_table_instance)
 
@@ -138,6 +139,23 @@ def test_rule_validation_errors():
     for b_arm, c_arm in ((0, -1), (-1, 0), (3, 1), (1, 3)):
         with pytest.raises(DimensionMismatch):
             select_arm(SEL_LARGEST_VARIANCE, b_arm, c_arm, est)
+    # so are J's entries, b and c in the other rule functions, which would
+    # otherwise wrap a negative id as a numpy index
+    for bad in (-1, 3):
+        with pytest.raises(DimensionMismatch):
+            compute_ct([0], bad, b5)
+        with pytest.raises(DimensionMismatch):
+            compute_ct([bad], 1, b5)
+        for rule in (B_MAX_OVER_OUTSIDE, B_MAX_OVER_MTH):
+            with pytest.raises(DimensionMismatch):
+                compute_bt(rule, [bad], b5, m=1)
+        for rule in (STOP_LUCB, STOP_UGAPE):
+            with pytest.raises(DimensionMismatch):
+                stopping_stat(rule, [0], 0, bad, b5, m=1)
+            with pytest.raises(DimensionMismatch):
+                stopping_stat(rule, [0], bad, 1, b5, m=1)
+            with pytest.raises(DimensionMismatch):
+                stopping_stat(rule, [bad], 0, 1, b5, m=1)
 
 
 def test_ugape_stat_skips_nan_scores_like_the_kernel():
@@ -231,6 +249,42 @@ def test_preset_wiring():
 
     with pytest.raises(ConfigError):
         preset("nope")
+
+    # every row in full: (J, b, selection, stopping, index kind, threshold
+    # kind, use_features)
+    rows = {
+        "lucb": (J_TOP_M_EMPIRICAL, B_MAX_OVER_OUTSIDE, SEL_LARGEST_VARIANCE,
+                 STOP_LUCB, "individual", "classical", False),
+        "ugape": (J_MIN_MAX_INDEX, B_MAX_OVER_OUTSIDE, SEL_LARGEST_VARIANCE,
+                  STOP_UGAPE, "individual", "classical", False),
+        "lingape": (J_TOP_M_EMPIRICAL, B_MAX_OVER_OUTSIDE, SEL_GREEDY,
+                    STOP_LUCB, "paired", "heuristic", True),
+        "m-lingape": (J_TOP_M_EMPIRICAL, B_MAX_OVER_OUTSIDE, SEL_GREEDY,
+                      STOP_LUCB, "paired", "heuristic", True),
+        "lingifa": (J_MIN_MAX_INDEX, B_MAX_OVER_MTH, SEL_LARGEST_VARIANCE,
+                    STOP_UGAPE, "paired", "heuristic", True),
+    }
+    assert tuple(rows) == PRESET_NAMES
+    for name, row in rows.items():
+        spec = preset(name)
+        assert spec.name == name
+        assert (spec.j_rule, spec.b_rule, spec.selection, spec.stopping,
+                spec.index.kind, spec.index.threshold_kind,
+                spec.use_features) == row
+        assert spec.index.threshold is None
+        assert not spec.paper_literal_optimized
+        # the init pass runs exactly where lambda = 0, the feature-blind case
+        assert spec.init_pass == (not spec.use_features)
+        # an override of None keeps the preset's value
+        assert preset(name, selection=None, j_rule=None, b_rule=None,
+                      stopping=None, index_kind=None, label=None) == spec
+
+    # a bound threshold on an algorithm is refused: the engine binds it per
+    # trial from the instance constants and delta
+    with pytest.raises(ConfigError):
+        AlgorithmSpec("bound", J_TOP_M_EMPIRICAL, B_MAX_OVER_OUTSIDE,
+                      SEL_GREEDY, STOP_LUCB,
+                      IndexConfig("paired", threshold=ThresholdSpec("heuristic", 0.05)))
     with pytest.raises(ConfigError):
         preset("lucb", selection="bogus")
 
