@@ -78,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--paper-literal-optimized", action="store_true",
                    help="optimized rule selects by the literal argmax of "
                         "count * ||w||_1 / w_a over positive weights instead "
-                        "of the argmin form")
+                        "of the argmin form; known not to stop on the classic "
+                        "instance: it favours the arm already pulled most, so "
+                        "it pulls one arm on nearly every round until --max-rounds")
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--epsilon", type=float, default=0.0)
     r.add_argument("--delta", type=float, default=0.05)
@@ -93,7 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--lambda", dest="lam", type=float,
                    help="ridge regularization (default sigma/20 for feature presets)")
     r.add_argument("--sigma", type=float, help="override the instance noise scale")
-    r.add_argument("--workers", type=int, default=1)
+    r.add_argument("--workers", type=int, default=1,
+                   help="processes running the trials: this one plus "
+                        "workers - 1 forked children, trial i in share "
+                        "i mod workers; outputs are the same at any count")
 
     c = sub.add_parser("complexity", help="complexity constants for an instance")
     c.add_argument("--instance", required=True)

@@ -87,6 +87,12 @@ class AlgorithmSpec:
     algorithms.  The threshold is bound per trial from the instance and
     delta, so index.threshold must be None; index.threshold_kind names the
     default kind.
+
+    paper_literal_optimized makes optimized selection pick the literal
+    argmax of count * ||w||_1 / w_a over positive weights instead of the
+    argmin form.  It is known not to stop on classic(4, 2, pi/6): the argmax
+    favours the arm already pulled most, so it pulls that arm on nearly
+    every round and the trial truncates at max_rounds.
     """
 
     name: str
@@ -374,8 +380,20 @@ class RunResult:
     trace: Optional[Trace] = None
 
 
-_PAIR_DESIGN_MEMO: dict = {}
+# The memo's bound, in bytes of designs plus keys.  An entry holds K^3
+# float64 of wstar: about 1 MB for wide-screen's K=50 matrix, under 1 KB at
+# K=4.  16 MB keeps sixteen K=50 matrices, far more than one campaign or
+# sweep revisits, and caps what a long run over many instances retains.
+# The newest entry stays even when it alone passes the bound, so that a
+# campaign at larger K still solves its designs once.
+_PAIR_DESIGN_MEMO_BYTES = 16 << 20
+_PAIR_DESIGN_MEMO: dict = {}  # least recently used first
 _PAIR_DESIGN_LOCK = threading.Lock()
+
+
+def _memo_entry_bytes(entry) -> int:
+    key, designs = entry
+    return len(key[1]) + sum(a.nbytes for a in designs)
 
 
 def pair_designs(xmat: np.ndarray):
@@ -383,18 +401,27 @@ def pair_designs(xmat: np.ndarray):
 
     Eager rather than lazy: features are static, so precomputing all pairs
     once per matrix is equivalent to filling a cache on demand and keeps the
-    compiled loop free of callbacks.
+    compiled loop free of callbacks.  The memo evicts least recently used
+    matrices past _PAIR_DESIGN_MEMO_BYTES; a matrix solved again gives the
+    same bytes.
     """
     xmat = np.ascontiguousarray(xmat, dtype=np.float64)
     key = (xmat.shape, xmat.tobytes())
     with _PAIR_DESIGN_LOCK:
-        hit = _PAIR_DESIGN_MEMO.get(key)
+        hit = _PAIR_DESIGN_MEMO.pop(key, None)
         if hit is not None:
+            _PAIR_DESIGN_MEMO[key] = hit
             return hit
     out = kernels.all_pair_designs(xmat, kernels.DESIGN_TOL)
     with _PAIR_DESIGN_LOCK:
-        _PAIR_DESIGN_MEMO.setdefault(key, out)
-        return _PAIR_DESIGN_MEMO[key]
+        out = _PAIR_DESIGN_MEMO.pop(key, out)  # another thread may have stored it
+        _PAIR_DESIGN_MEMO[key] = out
+        total = sum(map(_memo_entry_bytes, _PAIR_DESIGN_MEMO.items()))
+        while total > _PAIR_DESIGN_MEMO_BYTES and len(_PAIR_DESIGN_MEMO) > 1:
+            oldest = next(iter(_PAIR_DESIGN_MEMO.items()))
+            total -= _memo_entry_bytes(oldest)
+            del _PAIR_DESIGN_MEMO[oldest[0]]
+        return out
 
 
 def _resolve_threshold(spec: AlgorithmSpec, threshold_kind: Optional[str],

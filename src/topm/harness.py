@@ -3,15 +3,21 @@ summary statistics, trace validation, and file outputs.
 
 Reproducibility contract: trial i of a campaign is seeded (master, i), so
 the per-run results are a pure function of the configuration, independent
-of the worker count.  The per-run CSV is written in trial order, which makes
-campaign outputs byte-identical across parallelism degrees.
+of the worker count.  With w = min(workers, runs) > 1 the trials are split
+into w strided shares, share k holding trials k, k + w, k + 2w, ...; the
+caller runs share 0 and each other share runs in its own forked process
+(threads would hold the interpreter lock).  Results come back in trial
+order and the per-run CSV is written in that order, which makes campaign
+outputs byte-identical across parallelism degrees.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -32,8 +38,9 @@ class CampaignConfig:
 
     instance may be an Instance or a path to one.  sigma, when given,
     overrides the instance noise scale; lam and threshold_kind are passed
-    through to every trial.  Output paths are optional; emit_outputs writes
-    whichever ones are set.
+    through to every trial.  workers counts the caller plus the forked
+    processes that run the trials; see run_trials.  Output paths are
+    optional; emit_outputs writes whichever ones are set.
     """
 
     algorithm: AlgorithmSpec
@@ -126,12 +133,86 @@ def summarize(results: Sequence[RunResult], algorithm: str) -> RunSummary:
     )
 
 
+def _child_share(fn, share, rfd: int, wfd: int) -> None:
+    """In a forked child: run fn over share, pickle (ok, results or the
+    exception) into the pipe and leave without running any exit handler."""
+    status = 1
+    try:
+        os.close(rfd)
+        try:
+            payload = (True, [fn(i) for i in share])
+        except BaseException as exc:
+            payload = (False, exc)
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((False, RuntimeError(
+                f"worker result cannot be pickled: {exc!r}")))
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_map(fn, n: int, w: int) -> list:
+    """[fn(i) for i in range(n)], share k = range(k, n, w) run by the k-th of
+    w - 1 forked children and share 0 by the caller.  A child's exception is
+    re-raised here; every child is reaped before this returns or raises."""
+    out = [None] * n
+    children = []  # [pid, read end of its pipe, or None once read]
+    try:
+        for k in range(1, w):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                _child_share(fn, range(k, n, w), rfd, wfd)
+            os.close(wfd)
+            children.append([pid, rfd])
+        out[0::w] = [fn(i) for i in range(0, n, w)]
+        for k, child in enumerate(children, 1):
+            with os.fdopen(child[1], "rb") as pipe:
+                child[1] = None
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"trial worker {child[0]} died without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            out[k::w] = value
+        return out
+    except BaseException:
+        import signal
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, rfd in children:
+            if rfd is not None:
+                os.close(rfd)
+            os.waitpid(pid, 0)
+
+
 def run_trials(config: CampaignConfig) -> list:
-    """Every trial of the campaign, in trial order."""
+    """Every trial of the campaign, in trial order.
+
+    One worker runs the trials in the caller, one run_trial call each.  With
+    w = min(workers, runs) > 1, trial i belongs to share i mod w: the caller
+    runs share 0 and w - 1 forked processes run the others, so the split
+    depends on runs and w alone.  Where os.fork does not exist, or other
+    threads run in this process (a child would inherit any lock they hold),
+    the trials run in the caller.  The results are the same at every worker
+    count.
+    """
     inst = config.resolve_instance()
     spec = config.algorithm
     if spec.selection == SEL_OPTIMIZED:
-        # warm the design memo once so a cold pool does not solve it per thread
+        # warm the design memo once so that every forked worker inherits it
         xmat = inst.features if spec.use_features else np.eye(inst.K)
         pair_designs(xmat)
 
@@ -141,9 +222,9 @@ def run_trials(config: CampaignConfig) -> list:
                          threshold_kind=config.threshold_kind,
                          trace=config.trace, monitor=config.monitor)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(one, range(config.runs)))
+    w = min(config.workers, config.runs)
+    if w > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        return _forked_map(one, config.runs, w)
     return [one(i) for i in range(config.runs)]
 
 

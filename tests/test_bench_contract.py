@@ -80,3 +80,25 @@ def test_workload_setup_and_keyword_calls(bench, tmp_path):
             inspect.signature(
                 mods.complexity.complexity_fraction_experiment).bind(
                 wl.K, wl.N, wl.D, wl.SLICE, wl.seed, workers=2)
+
+
+def test_serial_campaign_calls_run_trial_once_per_trial(bench, tmp_path):
+    """The benchmark times a campaign's trials by wrapping the module
+    attribute harness.run_trial (TrialRecorder) and expects one call per
+    trial, in trial order, at workers=1.  A serial path that batched or
+    forked its trials would make every benchmark campaign fail as "ran 0 of
+    N trials"; it fails here instead."""
+    mods, _, bench_workloads = bench
+    wl = bench_workloads.WORKLOADS["classic-campaign"](0, tmp_path, mods)
+    wl.setup()
+    recorder = bench_workloads.TrialRecorder(mods.harness)
+    try:
+        for cfg in wl.cfgs:
+            assert cfg.workers == 1
+            summary = mods.harness.run_campaign(cfg)
+            log = recorder.take()
+            assert summary.runs == cfg.runs
+            assert [r.seed for _, r in log] == [(cfg.seed, i) for i in range(cfg.runs)]
+    finally:
+        recorder.close()
+    assert mods.harness.run_trial is mods.engine.run_trial

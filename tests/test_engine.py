@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from topm import engine
 from topm.engine import (B_MAX_OVER_MTH, B_MAX_OVER_OUTSIDE, J_MIN_MAX_INDEX,
                          J_TOP_M_EMPIRICAL, PRESET_NAMES, SEL_BOTH_ARMS,
                          SEL_GREEDY, SEL_LARGEST_VARIANCE, SEL_OPTIMIZED,
@@ -211,6 +212,37 @@ def test_select_arm_rules():
         select_arm(SEL_OPTIMIZED, 1, 3, est)  # no solver
     with pytest.raises(ConfigError):
         select_arm(SEL_GREEDY, 2, 2, est)
+
+
+def memo_bytes():
+    return sum(map(engine._memo_entry_bytes, engine._PAIR_DESIGN_MEMO.items()))
+
+
+def test_pair_design_memo_stays_under_its_bound(monkeypatch):
+    monkeypatch.setattr(engine, "_PAIR_DESIGN_MEMO", {})
+    bound = 8 * 1024  # about three K=6 entries of 2.2 KB
+    monkeypatch.setattr(engine, "_PAIR_DESIGN_MEMO_BYTES", bound)
+    rng = np.random.default_rng(7)
+    mats = [rng.standard_normal((3, 6)) for _ in range(40)]
+    first = pair_designs(mats[0])
+    kept = tuple(a.copy() for a in first)
+    for i, x in enumerate(mats[1:], 1):
+        pair_designs(x)
+        pair_designs(mats[i - 1])  # a hit makes its matrix the most recent
+        assert 1 < len(engine._PAIR_DESIGN_MEMO) <= 3
+        assert memo_bytes() <= bound
+    assert pair_designs(mats[-2]) is pair_designs(mats[-2])  # still held
+    again = pair_designs(mats[0])  # evicted long ago: solved again
+    assert again is not first
+    for a, b in zip(again, kept):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    # an entry larger than the whole bound is still kept, alone
+    monkeypatch.setattr(engine, "_PAIR_DESIGN_MEMO_BYTES", 1)
+    newest = pair_designs(mats[5])
+    assert len(engine._PAIR_DESIGN_MEMO) == 1
+    assert next(iter(engine._PAIR_DESIGN_MEMO.values())) is newest
+    assert pair_designs(mats[5]) is newest
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Campaign harness: worker-count determinism, summary math, trace replay,
-and file outputs."""
+"""Campaign harness: worker-count determinism, forked workers, summary
+math, trace replay, and file outputs."""
 
+import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from topm import harness
 from topm.engine import RunResult, Trace, preset, run_trial
 from topm.errors import ConfigError, DimensionMismatch
 from topm.harness import (CSV_HEADER, CampaignConfig, emit_outputs,
@@ -67,9 +71,9 @@ def test_summarize_counts_by_hand():
 
 
 def test_campaign_outputs_identical_across_worker_counts(classic42, tmp_path):
-    def outputs(tag, workers):
+    def outputs(tag, workers, runs=16):
         cfg = CampaignConfig(
-            algorithm=preset("m-lingape"), instance=classic42, m=2, runs=16,
+            algorithm=preset("m-lingape"), instance=classic42, m=2, runs=runs,
             seed=11, lam=0.025, workers=workers,
             out_csv=tmp_path / f"{tag}.csv",
             summary_json=tmp_path / f"{tag}.json",
@@ -77,12 +81,21 @@ def test_campaign_outputs_identical_across_worker_counts(classic42, tmp_path):
         )
         return run_campaign(cfg), cfg
 
+    def same_files(a, b):
+        for suffix in (".csv", ".json", "_q.csv"):
+            assert (tmp_path / f"{a}{suffix}").read_bytes() == \
+                (tmp_path / f"{b}{suffix}").read_bytes(), (a, b, suffix)
+
     s1, c1 = outputs("w1", 1)
-    s3, c3 = outputs("w3", 3)
-    assert s1 == s3
-    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
-    assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w3.json").read_bytes()
-    assert (tmp_path / "w1_q.csv").read_bytes() == (tmp_path / "w3_q.csv").read_bytes()
+    for workers in (2, 3, 4):
+        s, _ = outputs(f"w{workers}", workers)
+        assert s == s1
+        same_files("w1", f"w{workers}")
+    # more workers than runs: 3 runs at 4 workers fork 2 children
+    small1, _ = outputs("small1", 1, runs=3)
+    small4, _ = outputs("small4", 4, runs=3)
+    assert small1 == small4
+    same_files("small1", "small4")
 
     rows = load_run_csv(c1.out_csv)
     assert [r.seed for r in rows] == [(11, i) for i in range(16)]
@@ -97,6 +110,100 @@ def test_campaign_outputs_identical_across_worker_counts(classic42, tmp_path):
     assert payload["runs"] == 16
     qlines = (tmp_path / "w1_q.csv").read_text().splitlines()
     assert qlines[0] == "percent,tau" and len(qlines) == 6
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_results(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.tau, x.recommendation, x.correct, x.truncated, x.seed,
+                x.event_E_held, x.violation) == \
+            (y.tau, y.recommendation, y.correct, y.truncated, y.seed,
+             y.event_E_held, y.violation)
+        assert np.float64(x.stat).tobytes() == np.float64(y.stat).tobytes()
+        assert np.float64(x.threshold_final).tobytes() == \
+            np.float64(y.threshold_final).tobytes()
+        assert x.counts.tobytes() == y.counts.tobytes()
+        assert (x.trace is None) == (y.trace is None)
+        if x.trace is not None:
+            for f in dataclasses.fields(x.trace):
+                u, v = getattr(x.trace, f.name), getattr(y.trace, f.name)
+                assert u.dtype == v.dtype and u.shape == v.shape, f.name
+                assert u.tobytes() == v.tobytes(), f.name
+
+
+def test_traced_campaign_identical_across_worker_counts(classic42):
+    cfg = CampaignConfig(algorithm=preset("lingifa"), instance=classic42, m=2,
+                         runs=5, seed=3, lam=0.025, trace=True)
+    serial = run_trials(cfg)
+    assert all(r.trace is not None and len(r.trace) > 0 for r in serial)
+    for workers in (2, 4):
+        assert_same_results(serial, run_trials(dataclasses.replace(cfg, workers=workers)))
+    assert_no_child_left()
+
+
+def test_forked_trials_reraise_a_worker_error_and_reap_every_child(
+        classic42, monkeypatch):
+    cfg = CampaignConfig(algorithm=preset("lucb"), instance=classic42, m=2,
+                         runs=6, seed=2, workers=2)
+    run_trials(cfg)
+    assert_no_child_left()
+
+    plain = harness.run_trial
+
+    def refuse(trial_ids):
+        def wrapped(*args, **kwargs):
+            i = args[5][1]  # the seed (master, i)
+            if i in trial_ids:
+                raise ConfigError(f"trial {i} refused")
+            return plain(*args, **kwargs)
+        return wrapped
+
+    # odd trials are share 1, run by the forked child
+    monkeypatch.setattr(harness, "run_trial", refuse({1, 3, 5}))
+    with pytest.raises(ConfigError, match="trial 1 refused"):
+        run_trials(cfg)
+    assert_no_child_left()
+    # the caller's own share raises: the child is killed, then reaped
+    monkeypatch.setattr(harness, "run_trial", refuse({0}))
+    with pytest.raises(ConfigError, match="trial 0 refused"):
+        run_trials(cfg)
+    assert_no_child_left()
+
+
+def test_trials_run_serially_without_fork_or_beside_threads(classic42, monkeypatch):
+    cfg = CampaignConfig(algorithm=preset("m-lingape"), instance=classic42,
+                         m=2, runs=4, seed=9, lam=0.025, workers=2)
+    forked = run_trials(cfg)
+    calls = []
+    plain = harness.run_trial
+
+    def counted(*args, **kwargs):
+        calls.append(args[5])
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        beside_thread = run_trials(cfg)
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+    assert calls == [(9, i) for i in range(4)]  # all in this process, in order
+    assert_same_results(forked, beside_thread)
+
+    calls.clear()
+    monkeypatch.delattr(os, "fork")
+    serial = run_trials(cfg)
+    assert calls == [(9, i) for i in range(4)]
+    assert_same_results(forked, serial)
 
 
 def test_campaign_sigma_override_and_monitor_off(canonical2):
