@@ -44,7 +44,8 @@ class DesignWeights:
 
 def solve_l1_design(features, i: int, j: int,
                     tol: float = kernels.DESIGN_TOL) -> DesignWeights:
-    """Minimum-L1 w with X w = x_i - x_j, via the split LP (w = u - v).
+    """Minimum-L1 w with X w = x_i - x_j, via the split LP (w = u - v),
+    started at w = e_i - e_j (kernels.simplex_l1's pair form).
 
     The L1 value is unique; the weight vector need not be.  i == j returns
     zero weights.
@@ -56,7 +57,7 @@ def solve_l1_design(features, i: int, j: int,
     if i == j:
         return DesignWeights(pair=(i, j), weights=np.zeros(k), l1=0.0)
     target = np.ascontiguousarray(xmat[:, i] - xmat[:, j])
-    status, w, l1 = kernels.simplex_l1(xmat, target, tol)
+    status, w, l1 = kernels.simplex_l1(xmat, target, tol, i, j)
     if status == kernels.SIMPLEX_INFEASIBLE:
         raise InfeasibleDesign(
             f"x_{i} - x_{j} is not in the span of the feature columns"
@@ -306,26 +307,34 @@ def _fraction_outcomes(instances, m: int) -> list:
     """(outcome, lps, lps_solved) of each instance's _RepDecision.
 
     The instances, any iterable of them, share one feature shape; each is
-    dropped once its rep holds what the decision needs.  Each step takes the
-    next block of every undecided rep and solves all of them in one
-    kernels.simplex_l1_many call, so the step count, not the rep count,
-    sets the number of lockstep solves.
+    dropped once its rep holds what the decision needs, and each rep once
+    it is decided, so only undecided reps hold features and weights.  Each
+    step takes the next block of every undecided rep and solves all of them
+    in one kernels.simplex_l1_many call, so the step count, not the rep
+    count, sets the number of lockstep solves.
     """
-    reps = [_RepDecision(inst, m) for inst in instances]
-    live = [r for r in reps if r.outcome is None]
-    while live:
-        blocks = [r.next_block() for r in live]
+    out, live = [], []
+    for inst in instances:
+        live.append((len(out), _RepDecision(inst, m)))
+        out.append(None)
+    while True:
+        for slot, r in live:
+            if r.outcome is not None:
+                out[slot] = (r.outcome, r.lps, r.solved)
+        live = [(slot, r) for slot, r in live if r.outcome is None]
+        if not live:
+            return out
+        blocks = [r.next_block() for _, r in live]
         sizes = [i.size for i, _ in blocks]
-        xmats = np.stack([r.xmat for r in live]).repeat(sizes, axis=0)
+        xmats = np.stack([r.xmat for _, r in live]).repeat(sizes, axis=0)
         targets = np.concatenate([(r.xmat[:, i] - r.xmat[:, j]).T
-                                  for r, (i, j) in zip(live, blocks)])
-        status, w, _ = kernels.simplex_l1_many(xmats, targets, kernels.DESIGN_TOL)
+                                  for (_, r), (i, j) in zip(live, blocks)])
+        status, w, _ = kernels.simplex_l1_many(
+            xmats, targets, kernels.DESIGN_TOL, np.hstack(blocks))
         at = np.cumsum(sizes)[:-1]
-        for r, b, s, wb in zip(live, blocks, np.split(status, at),
-                               np.split(w, at)):
+        for (_, r), b, s, wb in zip(live, blocks, np.split(status, at),
+                                    np.split(w, at)):
             r.read(b, s, wb)
-        live = [r for r in live if r.outcome is None]
-    return [(r.outcome, r.lps, r.solved) for r in reps]
 
 
 def _fraction_outcome(instance, m: int) -> tuple:

@@ -14,6 +14,15 @@ of them.  The LPs may share X or each bring their own.  It repeats
 ``simplex_l1``'s arithmetic step for step, so both give the same bytes; the
 tests hold it to the scalar solver.
 
+Every design LP of the library is a pair LP, X w = x_i - x_j, which the
+weights w = e_i - e_j always satisfy.  Given the pair, both solvers start
+there instead of at the all-artificial basis: they pivot u_i, then v_j, into
+the basis, each on the artificial row of largest |entry|, set the other
+artificials to their exact value 0 and drive them out, then run phase 2, so
+no pair LP pays a phase 1.  Phase 1 remains the start of a pair whose crash
+pivot entry is at most the tolerance (x_i parallel to x_j, N = 1, a zero
+column), of i == j, and of any target given without its pair.
+
 No ``fastmath`` anywhere: the harness promises bit-identical trial outputs for
 a fixed seed regardless of backend and worker count, which needs strict IEEE
 semantics.  Reductions go through matmul (BLAS on both paths) or elementwise
@@ -265,12 +274,54 @@ def _simplex_iterate(tab, basis, active, n_rows, n_enter, tol, max_iter):
 
 
 @njit(cache=True, nogil=True)
-def simplex_l1(xmat, target, tol):
-    """Minimum-L1 solution of X w = target by two-phase dense simplex.
+def _crash_rows(tab, n, c1, c2, tol):
+    """Rows (r1, r2) on which the crash start pivots column c1, then c2.
+
+    Each is the row of largest |entry| above tol, the first on ties, with
+    c2's entries read as the pivot on (r1, c1) leaves them and r1 excluded.
+    (-1, -1) when either column has no such entry.  Every tableau row is
+    still artificial when this runs.
+    """
+    r1 = -1
+    best = tol
+    for r in range(n):
+        if abs(tab[r, c1]) > best:
+            r1 = r
+            best = abs(tab[r, c1])
+    if r1 < 0:
+        return -1, -1
+    p = tab[r1, c2] / tab[r1, c1]
+    r2 = -1
+    best = tol
+    for r in range(n):
+        if r == r1:
+            continue
+        e = tab[r, c2]
+        f = tab[r, c1]
+        if f != 0.0:  # as _pivot computes it
+            e = e - f * p
+        if abs(e) > best:
+            r2 = r
+            best = abs(e)
+    return r1, r2
+
+
+@njit(cache=True, nogil=True)
+def simplex_l1(xmat, target, tol, first=-1, second=-1):
+    """Minimum-L1 solution of X w = target by dense simplex.
 
     Split form: minimize sum(u) + sum(v) over u, v >= 0 subject to
-    [X, -X](u; v) = target, with w = u - v.  Bland's rule in both phases, so
-    the iteration cannot cycle.  Returns (status, w, l1).
+    [X, -X](u; v) = target, with w = u - v.  Bland's rule throughout, so the
+    iteration cannot cycle.  Returns (status, w, l1).
+
+    Distinct arm ids first and second mark a pair LP, whose target must be
+    x_first - x_second.  It starts at the feasible vertex w = e_first -
+    e_second: u_first, then v_second, is pivoted into the basis on the
+    artificial row of largest |entry| (_crash_rows), the other artificials
+    are set to their exact value 0 and driven out, and phase 2 follows with
+    no phase 1.  A pair whose crash pivot entry is at most tol (the two
+    columns parallel, N = 1, a zero column) and any other target (first and
+    second -1, the default) get phase 1 from the all-artificial basis.
     """
     n = xmat.shape[0]
     k = xmat.shape[1]
@@ -303,11 +354,22 @@ def simplex_l1(xmat, target, tol):
 
     max_iter = 200 * (n + k + 10)
     w = np.zeros(k)
-    status = _simplex_iterate(tab, basis, active, n, nz, tol, max_iter)
-    if status != SIMPLEX_OK:
-        return SIMPLEX_NUMERICAL, w, 0.0
-    if tab[n, rhs_col] < -tol:
-        return SIMPLEX_INFEASIBLE, w, 0.0
+    r1 = -1
+    r2 = -1
+    if first >= 0 and second >= 0 and first != second:
+        r1, r2 = _crash_rows(tab, n, first, k + second, tol)
+    if r2 >= 0:
+        _pivot(tab, basis, r1, first)
+        _pivot(tab, basis, r2, k + second)
+        for i in range(n):
+            if basis[i] >= nz:
+                tab[i, rhs_col] = 0.0
+    else:
+        status = _simplex_iterate(tab, basis, active, n, nz, tol, max_iter)
+        if status != SIMPLEX_OK:
+            return SIMPLEX_NUMERICAL, w, 0.0
+        if tab[n, rhs_col] < -tol:
+            return SIMPLEX_INFEASIBLE, w, 0.0
 
     # drive artificials out of the basis; rows that cannot pivot on a real
     # column are redundant constraints and get deactivated
@@ -352,82 +414,130 @@ def simplex_l1(xmat, target, tol):
     return SIMPLEX_OK, w, -tab[n, rhs_col]
 
 
-def _pivot_batch(tab, basis, rows, cols):
-    """_pivot on every tableau of the leading axis at once, each at its own
-    (row, col); like _pivot, only rows with a nonzero entry in col change."""
-    lp = np.arange(tab.shape[0])
-    prow = tab[lp, rows] / tab[lp, rows, cols][:, None]
-    prow[lp, cols] = 1.0
-    f = tab[lp, :, cols]
-    f[lp, rows] = 0.0
+def _pivot_batch(tab, basis, lps, rows, cols):
+    """_pivot on tableaux lps of the leading axis at once, tableau lps[q] at
+    (rows[q], cols[q]), in place; like _pivot, only rows with a nonzero
+    entry in the pivot column change."""
+    q = np.arange(lps.size)
+    prow = tab[lps, rows]
+    prow /= prow[q, cols][:, None]
+    prow[q, cols] = 1.0
+    f = tab[lps, :, cols]
+    f[q, rows] = 0.0
     hit, row = np.nonzero(f)
-    tab[hit, row] -= f[hit, row][:, None] * prow[hit]
-    tab[hit, row, cols[hit]] = 0.0
-    tab[lp, rows] = prow
-    basis[lp, rows] = cols
+    step = prow[hit]
+    np.multiply(f[hit, row][:, None], step, out=step)
+    tab[lps[hit], row] -= step
+    tab[lps[hit], row, cols[hit]] = 0.0
+    tab[lps, rows] = prow
+    basis[lps, rows] = cols
 
 
-def _iterate_batch(tab, basis, active, n_enter, tol, max_iter):
-    """_simplex_iterate in lockstep over the leading axis.
+def _iterate_batch(tab, basis, active, ids, n_enter, tol, max_iter):
+    """_simplex_iterate in lockstep over the tableaux ids of the leading
+    axis, in place.
 
     Each LP makes the choices the scalar scan makes: the first entering
     column below -tol, then the leaving row of smallest ratio among active
     rows with coef > tol, ties to the smallest basis index.  In that scan a
     NaN ratio never replaces the running best, but a NaN on the first valid
-    row is kept.  Finished LPs drop out of the live arrays; their tableau
-    and basis are written back.  Returns each LP's status and pivot count.
+    row is kept.  Finished LPs drop out of ids.  Every live LP pivots once
+    per step, so an LP's pivot count is the step at which it drops out.
+    Returns the status and pivot count of each LP of ids.
     """
     n = basis.shape[1]
     rhs = tab.shape[2] - 1
     status = np.full(tab.shape[0], SIMPLEX_OK)
     pivots = np.zeros(tab.shape[0], np.int64)
-    ids = np.arange(tab.shape[0])
-    t, b, a = tab, basis, active
+    given = ids
+    every = np.arange(ids.size)
     steps = 0
-    while ids.size:
-        lp = np.arange(ids.size)
-        neg = t[:, n, :n_enter] < -tol
-        enter = neg.argmax(axis=1)
-        coef = t[lp, :n, enter]
-        valid = a & (coef > tol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = t[:, :n, rhs] / coef
-        first = valid.argmax(axis=1)
-        clean = valid & ~np.isnan(ratio)
-        low = np.where(clean, ratio, np.inf).min(axis=1)
-        tied = clean & (ratio == low[:, None])
-        leave = np.where(tied, b, rhs).argmin(axis=1)  # basis entries < rhs
-        leave = np.where(np.isnan(ratio[lp, first]), first, leave)
-        optimal = ~neg.any(axis=1)
-        failed = (~optimal & ~valid.any(axis=1)) | (steps >= max_iter)
-        stop = optimal | failed
-        if stop.any():
-            tab[ids[stop]] = t[stop]
-            basis[ids[stop]] = b[stop]
-            status[ids[stop & failed]] = SIMPLEX_NUMERICAL
-            go = ~stop
-            ids, t, b, a = ids[go], t[go], b[go], a[go]
-            enter, leave = enter[go], leave[go]
-            if not ids.size:
-                break
-        _pivot_batch(t, b, leave, enter)
-        pivots[ids] += 1
-        steps += 1
-    return status, pivots
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while ids.size:
+            lp = every[:ids.size]
+            neg = tab[ids, n, :n_enter] < -tol
+            enter = neg.argmax(axis=1)
+            coef = tab[ids, :n, enter]
+            b = basis[ids]
+            valid = active[ids] & (coef > tol)
+            ratio = tab[ids, :n, rhs] / coef
+            first = valid.argmax(axis=1)
+            clean = valid & ~np.isnan(ratio)
+            low = np.where(clean, ratio, np.inf).min(axis=1)
+            tied = clean & (ratio == low[:, None])
+            leave = np.where(tied, b, rhs).argmin(axis=1)  # basis entries < rhs
+            leave = np.where(np.isnan(ratio[lp, first]), first, leave)
+            optimal = ~neg.any(axis=1)
+            failed = (~optimal & ~valid.any(axis=1)) | (steps >= max_iter)
+            stop = optimal | failed
+            if stop.any():
+                status[ids[stop & failed]] = SIMPLEX_NUMERICAL
+                pivots[ids[stop]] = steps
+                go = ~stop
+                ids, enter, leave = ids[go], enter[go], leave[go]
+                if not ids.size:
+                    break
+            _pivot_batch(tab, basis, ids, leave, enter)
+            steps += 1
+    return status[given], pivots[given]
 
 
-def simplex_l1_batch(xmat, targets, tol):
+def _crash_batch(tab, basis, pairs, tol):
+    """The crash start of simplex_l1 on every pair LP of the batch.
+
+    pairs[:, q] = (i, j) with i != j marks LP q a pair LP; where
+    _crash_rows would find both rows, u_i and v_j are pivoted in and the
+    remaining artificials' right-hand sides set to 0, as in the scalar
+    solver.  Returns the mask of LPs so started.
+    """
+    p, n = basis.shape
+    k = (tab.shape[2] - n - 1) // 2
+    warm = np.zeros(p, bool)
+    if pairs is None:
+        return warm
+    first, second = pairs
+    q = np.nonzero((first >= 0) & (second >= 0) & (first != second))[0]
+    lp = np.arange(q.size)
+    c1, c2 = first[q], k + second[q]
+    with np.errstate(all="ignore"):
+        f = tab[q, :n, c1]
+        size = np.abs(f)
+        size = np.where(size > tol, size, 0.0)  # NaN entries never win
+        r1 = size.argmax(axis=1)
+        ok = size[lp, r1] > 0.0
+        e = tab[q, :n, c2]
+        e = np.where(f != 0.0, e - f * (e[lp, r1] / f[lp, r1])[:, None], e)
+        size = np.abs(e)
+        size = np.where(size > tol, size, 0.0)
+        size[lp, r1] = 0.0
+        r2 = size.argmax(axis=1)
+        ok &= size[lp, r2] > 0.0
+    q, r1, r2, c1, c2 = q[ok], r1[ok], r2[ok], c1[ok], c2[ok]
+    _pivot_batch(tab, basis, q, r1, c1)
+    _pivot_batch(tab, basis, q, r2, c2)
+    warm[q] = True
+    tab[:, :n, -1][warm[:, None] & (basis >= 2 * k)] = 0.0
+    return warm
+
+
+def simplex_l1_batch(xmat, targets, tol, pairs=None):
     """simplex_l1 for each row of targets (P, N).
 
     xmat is one (N, K) matrix all LPs share, or (P, N, K) with one matrix per
-    LP.  The P two-phase solves run in lockstep: one batched pivot per step
-    over the LPs still pivoting.  Every LP takes the pivots simplex_l1 takes,
-    in the same order and with the same arithmetic (sums row by row, never
-    np.sum or np.einsum), so status, w and l1 are bit-identical to P scalar
-    calls.  Returns (status, w, l1, pivots) with P rows each; pivots counts
-    the _pivot calls simplex_l1 makes, drive-out of artificials included.
-    numpy only: the batching replaces per-pivot interpreter dispatch, which
-    the numba backend does not pay.
+    LP.  pairs, a (2, P) int array or None, gives each LP the (i, j) that
+    simplex_l1 takes: where pairs[:, q] names two distinct arms, LP q is the
+    pair LP with target x_i - x_j and starts at w = e_i - e_j; -1 entries
+    (and pairs=None) mark arbitrary targets.  The pair LPs take their two
+    crash pivots together, the LPs that fall back or have no pair run
+    phase 1, and then all of them run in lockstep: one batched pivot per
+    step over the LPs still pivoting, in place on the tableau stack.
+    Every LP takes the pivots simplex_l1 takes, in the same order and with
+    the same arithmetic (sums row by row, never np.sum or np.einsum), so
+    status, w and l1 are bit-identical to P scalar calls.  Returns (status,
+    w, l1, pivots) with P rows each; pivots counts the _pivot calls
+    simplex_l1 makes, crash and drive-out of artificials included.  numpy
+    only: the batching replaces per-pivot interpreter dispatch, which the
+    numba backend does not pay.
     """
     n = xmat.shape[-2]
     k = xmat.shape[-1]
@@ -455,11 +565,19 @@ def simplex_l1_batch(xmat, targets, tol):
     status = np.full(p, SIMPLEX_NUMERICAL)
     w = np.zeros((p, k))
     l1 = np.zeros(p)
-    phase1, pivots = _iterate_batch(tab, basis, active, nz, tol, max_iter)
-    infeasible = (phase1 == SIMPLEX_OK) & (tab[:, n, rhs_col] < -tol)
-    status[infeasible] = SIMPLEX_INFEASIBLE
-    ids = np.nonzero((phase1 == SIMPLEX_OK) & ~infeasible)[0]
-    tab, basis, active = tab[ids], basis[ids], active[ids]
+    pivots = np.zeros(p, np.int64)
+    warm = _crash_batch(tab, basis, pairs, tol)
+    pivots[warm] = 2
+    cold = np.nonzero(~warm)[0]
+    phase1, pivots[cold] = _iterate_batch(tab, basis, active, cold, nz, tol,
+                                          max_iter)
+    infeasible = (phase1 == SIMPLEX_OK) & (tab[cold, n, rhs_col] < -tol)
+    status[cold[infeasible]] = SIMPLEX_INFEASIBLE
+    feasible = warm.copy()
+    feasible[cold] = (phase1 == SIMPLEX_OK) & ~infeasible
+    ids = np.nonzero(feasible)[0]
+    if ids.size < p:
+        tab, basis, active = tab[ids], basis[ids], active[ids]
 
     # drive artificials out of the basis, row by row
     for i in range(n):
@@ -471,9 +589,8 @@ def simplex_l1_batch(xmat, targets, tol):
         active[sel[~can], i] = False
         sel = sel[can]
         if sel.size:
-            t, b = tab[sel], basis[sel]
-            _pivot_batch(t, b, np.full(sel.size, i), big[can].argmax(axis=1))
-            tab[sel], basis[sel] = t, b
+            _pivot_batch(tab, basis, sel, np.full(sel.size, i),
+                         big[can].argmax(axis=1))
             pivots[ids[sel]] += 1
 
     # phase-2 objective: all split variables cost 1
@@ -487,7 +604,7 @@ def simplex_l1_batch(xmat, targets, tol):
         tab[hit, n] -= f[hit, None] * tab[hit, i]
         tab[hit, n, col[hit]] = 0.0
 
-    phase2, more = _iterate_batch(tab, basis, active, nz, tol, max_iter)
+    phase2, more = _iterate_batch(tab, basis, active, lp, nz, tol, max_iter)
     pivots[ids] += more
     done = phase2 == SIMPLEX_OK
     status[ids[done]] = SIMPLEX_OK
@@ -508,27 +625,32 @@ def simplex_l1_batch(xmat, targets, tol):
 _BATCH_TABLEAU_BYTES = 1 << 20
 
 
-def simplex_l1_many(xmat, targets, tol):
+def simplex_l1_many(xmat, targets, tol, pairs=None):
     """(status, w, l1) of simplex_l1 for each row of targets (P, N).
 
-    xmat is shared (N, K) or per LP (P, N, K), as in simplex_l1_batch.  The
-    numba backend solves the LPs one by one; numpy solves them through
-    simplex_l1_batch, in chunks of at most _BATCH_TABLEAU_BYTES of tableau.
-    Both give the bytes of P simplex_l1 calls.
+    xmat is shared (N, K) or per LP (P, N, K), and pairs marks the pair LPs,
+    as in simplex_l1_batch.  The numba backend solves the LPs one by one;
+    numpy solves them through simplex_l1_batch, in chunks of at most
+    _BATCH_TABLEAU_BYTES of tableau.  Both give the bytes of P simplex_l1
+    calls.
     """
     n, k = xmat.shape[-2:]
     p = targets.shape[0]
+    if pairs is None:
+        pairs = np.full((2, p), -1)
     if NUMBA_ENABLED:
         status = np.empty(p, np.int64)
         w = np.zeros((p, k))
         l1 = np.zeros(p)
         for q in range(p):
             x = xmat if xmat.ndim == 2 else xmat[q]
-            status[q], w[q], l1[q] = simplex_l1(x, targets[q], tol)
+            status[q], w[q], l1[q] = simplex_l1(x, targets[q], tol,
+                                                pairs[0, q], pairs[1, q])
         return status, w, l1
     chunk = max(1, _BATCH_TABLEAU_BYTES // (8 * (n + 1) * (2 * k + n + 1)))
     parts = [simplex_l1_batch(xmat if xmat.ndim == 2 else xmat[s:s + chunk],
-                              targets[s:s + chunk], tol)[:3]
+                              targets[s:s + chunk], tol,
+                              pairs[:, s:s + chunk])[:3]
              for s in range(0, max(p, 1), chunk)]  # P = 0: one empty batch
     return tuple(np.concatenate(part) for part in zip(*parts))
 
@@ -537,7 +659,7 @@ def all_pair_designs(xmat, tol):
     """Min-L1 design weights for every unordered arm pair.
 
     Returns (wstar, wl1, wok): wstar[i, j] solves X w = x_i - x_j for i < j,
-    wl1 the L1 values, wok a feasibility mask.  The pairs go through
+    wl1 the L1 values, wok a feasibility mask.  The pair LPs go through
     simplex_l1_many, so both backends give the same bytes.
     """
     k = xmat.shape[1]
@@ -546,7 +668,8 @@ def all_pair_designs(xmat, tol):
     wok = np.zeros((k, k), np.uint8)
     first, second = np.triu_indices(k, 1)
     targets = np.ascontiguousarray((xmat[:, first] - xmat[:, second]).T)
-    status, w, l1 = simplex_l1_many(xmat, targets, tol)
+    status, w, l1 = simplex_l1_many(xmat, targets, tol,
+                                    np.array([first, second]))
     ok = status == SIMPLEX_OK
     i, j = first[ok], second[ok]
     wstar[i, j] = w[ok]

@@ -323,6 +323,143 @@ def test_batch_simplex_with_per_lp_matrices(monkeypatch, n):
         assert whole.tobytes() == a.tobytes() == b.tobytes()
 
 
+def _pair_lp_systems():
+    """Feature matrices for the crash start: random unit instances, and
+    matrices where some pairs' crash pivot entry vanishes or misbehaves."""
+    rng = np.random.default_rng(45)
+    systems = [(f"random K={k} N={n}", make_random_unit_instance(
+        k, n, 0.25, seed=(45, k * n), sigma=0.5).features)
+        for k, n in [(10, 5), (20, 10), (50, 10)]]
+    systems.append(("N=1", rng.standard_normal((1, 6))))
+    x = rng.standard_normal((4, 8))
+    x[:, 5] = x[:, 2]
+    x[:, 6] = -2.0 * x[:, 1]
+    systems.append(("duplicated and parallel columns", x))
+    x = rng.standard_normal((4, 8))
+    x[:, 3] = 0.0
+    systems.append(("zero column", x))
+    x = rng.standard_normal((5, 9))
+    x[4] = x[0] + x[1]
+    systems.append(("rank-deficient", x))
+    x = rng.standard_normal((4, 7))
+    x[2, 3] = np.nan
+    systems.append(("NaN entry", x))
+    x = rng.standard_normal((4, 7))
+    x[2, 3] = 1e200
+    systems.append(("huge entry", x))
+    return [pytest.param(label, x, id=label) for label, x in systems]
+
+
+@pytest.mark.parametrize("label,x", _pair_lp_systems())
+def test_pair_lps_batch_equals_scalar(monkeypatch, label, x):
+    """Pair LPs start at w = e_i - e_j in simplex_l1 and in
+    simplex_l1_batch alike: status, bytes of w and l1 and pivot count agree
+    LP by LP, phase 1 runs exactly where the crash pivot entry is at most
+    tol or i == j, and simplex_l1_many returns the same bytes in small
+    chunks and on the one-LP-at-a-time branch the numba backend takes."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    k = x.shape[1]
+    pairs = np.array(list(itertools.combinations(range(k), 2))
+                     + [(a, a) for a in range(0, k, 3)]).T
+    if k == 50:  # the scalar solver runs un-jitted: check a sample of pairs
+        pairs = pairs[:, ::9]
+    targets = np.ascontiguousarray((x[:, pairs[0]] - x[:, pairs[1]]).T)
+    with np.errstate(all="ignore"):
+        status, w, l1, pivots = kernels.simplex_l1_batch(x, targets, 1e-9,
+                                                         pairs)
+    calls, phases = [], []
+    pivot, iterate = kernels._pivot, kernels._simplex_iterate
+    monkeypatch.setattr(kernels, "_pivot",
+                        lambda *args: calls.append(1) or pivot(*args))
+    monkeypatch.setattr(kernels, "_simplex_iterate",
+                        lambda *args: phases.append(1) or iterate(*args))
+    phase1 = []
+    for p, (i, j) in enumerate(pairs.T):
+        calls.clear()
+        phases.clear()
+        with np.errstate(all="ignore"):
+            s, ws, ls = kernels.simplex_l1(x, targets[p], 1e-9, i, j)
+        assert status[p] == s, p
+        assert w[p].tobytes() == ws.tobytes(), p
+        assert np.float64(l1[p]).tobytes() == np.float64(ls).tobytes(), p
+        if not NUMBA_ENABLED:  # a jitted simplex_l1 does not call the wrappers
+            assert pivots[p] == len(calls), p
+            phase1.append(len(phases) == 2)  # phase 2 follows phase 1
+    assert (status == kernels.SIMPLEX_OK).all()
+    assert np.isnan(w).any() == (label == "NaN entry")
+    if not NUMBA_ENABLED:
+        # x_5 = x_2 and x_6 = -2 x_1: the crash pivot on v_j vanishes for
+        # those pairs; a zero column's v_j has no entry at all; at N = 1
+        # one row cannot hold both u_i and v_j
+        expect = {"N=1": pairs[0] >= 0,
+                  "duplicated and parallel columns": np.array(
+                      [(i, j) in ((2, 5), (1, 6)) for i, j in pairs.T]),
+                  "zero column": (pairs == 3).any(axis=0)}.get(label,
+                                                              pairs[0] < 0)
+        assert (np.array(phase1) == (expect | (pairs[0] == pairs[1]))).all()
+    monkeypatch.setattr(kernels, "_BATCH_TABLEAU_BYTES", 2000)
+    with np.errstate(all="ignore"):
+        chunked = kernels.simplex_l1_many(x, targets, 1e-9, pairs)
+        monkeypatch.setattr(kernels, "NUMBA_ENABLED", True)
+        looped = kernels.simplex_l1_many(x, targets, 1e-9, pairs)
+    for whole, a, b in zip((status, w, l1), chunked, looped):
+        assert whole.tobytes() == a.tobytes() == b.tobytes()
+
+
+def test_pair_lps_match_basis_enumeration():
+    """Started at w = e_i - e_j or, where the crash pivot vanishes, by
+    phase 1, every pair LP reaches the brute-force optimum: random small
+    systems with a duplicated, a parallel or a zero column, or N = 1."""
+    rng = np.random.default_rng(23)
+    checked = 0
+    for rep in range(60):
+        n = int(rng.integers(1, 4))
+        k = int(rng.integers(max(3, n + 1), 7))  # full row rank, for the oracle
+        x = rng.standard_normal((n, k))
+        kind = rep % 4
+        if kind == 1:
+            x[:, 2] = x[:, 0]
+        elif kind == 2:
+            x[:, 2] = -3.0 * x[:, 1]
+        elif kind == 3:
+            x[:, 1] = 0.0
+        pairs = np.array(list(itertools.combinations(range(k), 2))).T
+        targets = np.ascontiguousarray((x[:, pairs[0]] - x[:, pairs[1]]).T)
+        status, w, l1, _ = kernels.simplex_l1_batch(x, targets, 1e-9, pairs)
+        for p, (i, j) in enumerate(pairs.T):
+            oracle = enumerate_l1_optimum(x, targets[p])
+            assert status[p] == kernels.SIMPLEX_OK
+            assert l1[p] == pytest.approx(oracle, rel=1e-8, abs=1e-8)
+            assert x @ w[p] == pytest.approx(targets[p], abs=1e-8)
+            s, ws, ls = kernels.simplex_l1(x, targets[p], 1e-9, i, j)
+            assert ws.tobytes() == w[p].tobytes()
+            checked += 1
+    assert checked > 500
+
+
+def test_arbitrary_targets_keep_their_pivots():
+    """A target given without its pair takes phase 1 from the
+    all-artificial basis, with the pivot counts it had before pair LPs
+    started at e_i - e_j; with its pair, the same LP pivots less."""
+    x = make_random_unit_instance(10, 5, 0.25, seed=(40, 50), sigma=0.5).features
+    pairs = np.array(list(itertools.combinations(range(10), 2))).T
+    targets = np.ascontiguousarray((x[:, pairs[0]] - x[:, pairs[1]]).T)
+    cold = kernels.simplex_l1_batch(x, targets, 1e-9)[3]
+    assert cold.tolist() == [
+        11, 10, 9, 16, 23, 15, 13, 14, 30, 11, 14, 16, 18, 21, 20, 18, 26, 10,
+        9, 17, 21, 17, 19, 29, 16, 19, 23, 8, 11, 25, 21, 25, 10, 12, 29, 15,
+        17, 14, 26, 13, 21, 19, 19, 26, 26]
+    assert (kernels.simplex_l1_batch(x, targets, 1e-9, np.full((2, 45), -1))[3]
+            == cold).all()
+    warm = kernels.simplex_l1_batch(x, targets, 1e-9, pairs)[3]
+    assert warm.sum() < cold.sum()
+    rng = np.random.default_rng(44)
+    status, _, _, pivots = kernels.simplex_l1_batch(
+        x, rng.standard_normal((10, 5)), 1e-9)
+    assert pivots.tolist() == [13, 12, 8, 23, 16, 11, 25, 14, 14, 9]
+    assert (status == kernels.SIMPLEX_OK).all()
+
+
 def test_all_pair_designs_chunks_give_the_same_bytes(monkeypatch):
     """The tableau budget only splits the pairs into batches: one LP per
     batch returns the bytes of one batch for all 45 pairs."""
@@ -335,15 +472,20 @@ def test_all_pair_designs_chunks_give_the_same_bytes(monkeypatch):
 
 def test_h_constant_raises_for_the_first_failing_pair():
     """With a huge feature some design LPs fail; h_constant names the first
-    failing pair in (i, j) order, as the one-by-one solve did."""
-    rng = np.random.default_rng(41)
+    failing pair in (i, j) order, as the one-by-one solve did.  Here two of
+    the 21 pair LPs fail."""
+    rng = np.random.default_rng(55)
     x = rng.standard_normal((4, 7))
-    x[2, 3] = 1e200
+    x[2, 3] = 1e308
     with np.errstate(over="ignore"):  # the feature norm overflows
         inst = Instance(x, 0.5, mu=np.linspace(1.0, 0.0, 7))
-    first = next((i, j) for i, j in itertools.combinations(range(7), 2)
-                 if kernels.simplex_l1(x, x[:, i] - x[:, j], 1e-9)[0] != 0)
-    with pytest.raises(InfeasibleDesign, match=re.escape(f"pair {first}")):
+    with np.errstate(all="ignore"):
+        failing = [(i, j) for i, j in itertools.combinations(range(7), 2)
+                   if kernels.simplex_l1(x, x[:, i] - x[:, j], 1e-9, i, j)[0]]
+    assert len(failing) == 2
+    first = failing[0]
+    with np.errstate(all="ignore"), pytest.raises(
+            InfeasibleDesign, match=re.escape(f"pair {first}")):
         h_constant(H_MLINGAPE_2, inst, 2)
 
 
@@ -467,8 +609,8 @@ def test_fraction_decision_is_exact_under_blocks(monkeypatch):
         i, j = first[pos - 1], second[pos - 1]
         bad = inst.features[:, i] - inst.features[:, j]
 
-        def solve(xmats, targets, tol):
-            status, w, l1 = many(xmats, targets, tol)
+        def solve(xmats, targets, tol, pairs):
+            status, w, l1 = many(xmats, targets, tol, pairs)
             hit = (targets == bad).all(axis=1)
             status[hit] = kernels.SIMPLEX_NUMERICAL
             w[hit] = 0.0
