@@ -75,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the stopping statistic")
     r.add_argument("--index", choices=(PAIRED, INDIVIDUAL),
                    help="override the confidence-width form")
-    r.add_argument("--paper-literal-optimized", action="store_true",
-                   help="optimized rule selects by the literal argmax of "
-                        "count * ||w||_1 / w_a over positive weights instead "
-                        "of the argmin form; known not to stop on the classic "
-                        "instance: it favours the arm already pulled most, so "
-                        "it pulls one arm on nearly every round until --max-rounds")
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--epsilon", type=float, default=0.0)
     r.add_argument("--delta", type=float, default=0.05)
@@ -128,10 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--D", type=float, required=True)
     t.add_argument("--reps", type=int, required=True)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--workers", type=int, default=1,
-                   help="ignored, kept for compatibility: the fraction "
-                        "experiment runs all reps as one lockstep batch in "
-                        "the calling thread")
 
     return top
 
@@ -157,8 +147,7 @@ def _cmd_gen_instance(args) -> int:
 def _cmd_run(args) -> int:
     spec = preset(args.algo, selection=args.selection, j_rule=args.jrule,
                   b_rule=args.brule, stopping=args.stopping,
-                  index_kind=args.index,
-                  paper_literal_optimized=args.paper_literal_optimized)
+                  index_kind=args.index)
     config = CampaignConfig(
         algorithm=spec, instance=args.instance, m=args.m, epsilon=args.epsilon,
         delta=args.delta, runs=args.runs, seed=args.seed, sigma=args.sigma,
@@ -208,7 +197,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_table3(args) -> int:
     res = complexity_fraction_experiment(args.K, args.N, args.D, args.reps,
-                                         args.seed, workers=args.workers)
+                                         args.seed)
     print(f"fraction = {res.fraction:.4f} ({res.wins} wins, "
           f"{res.skips} skips, {res.reps} reps, {res.lps} design LPs, "
           f"{res.lps_solved} solved)")

@@ -26,8 +26,6 @@ H_MLINGAPE_1 = "m-lingape-1"
 H_MLINGAPE_2 = "m-lingape-2"
 H_KINDS = (H_LUCB, H_UGAPE, H_MLINGAPE_1, H_MLINGAPE_2)
 
-_RESIDUAL_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class DesignWeights:
@@ -65,11 +63,6 @@ def solve_l1_design(features, i: int, j: int,
     if status != kernels.SIMPLEX_OK:
         raise InfeasibleDesign(
             f"design solve for pair ({i}, {j}) failed numerically"
-        )
-    resid = float(np.max(np.abs(xmat @ w - target)))
-    if resid > _RESIDUAL_TOL:
-        raise InfeasibleDesign(
-            f"design residual {resid:.3e} exceeds {_RESIDUAL_TOL} for pair ({i}, {j})"
         )
     return DesignWeights(pair=(int(i), int(j)), weights=w, l1=float(l1))
 
@@ -335,11 +328,6 @@ def _fraction_outcomes(instances, m: int) -> list:
         for (_, r), b, s, wb in zip(live, blocks, np.split(status, at),
                                     np.split(w, at)):
             r.read(b, s, wb)
-
-
-def _fraction_outcome(instance, m: int) -> tuple:
-    """(outcome, lps) of one rep: 1 a win, 0 a loss, -1 a skip."""
-    return _fraction_outcomes([instance], m)[0][:2]
 
 
 def complexity_fraction_experiment(K: int, N: int, D: float, reps: int,

@@ -35,7 +35,7 @@ from .indices import (
     ThresholdSpec, normalize_threshold_kind,
 )
 from .instances import (
-    EMPIRICAL_TABLE, GAUSSIAN_LINEAR, Instance, eps_top_set, gap_profile,
+    GAUSSIAN_LINEAR, Instance, eps_top_set, gap_profile,
 )
 
 J_TOP_M_EMPIRICAL = "top-m-empirical"
@@ -87,12 +87,6 @@ class AlgorithmSpec:
     algorithms.  The threshold is bound per trial from the instance and
     delta, so index.threshold must be None; index.threshold_kind names the
     default kind.
-
-    paper_literal_optimized makes optimized selection pick the literal
-    argmax of count * ||w||_1 / w_a over positive weights instead of the
-    argmin form.  It is known not to stop on classic(4, 2, pi/6): the argmax
-    favours the arm already pulled most, so it pulls that arm on nearly
-    every round and the trial truncates at max_rounds.
     """
 
     name: str
@@ -102,7 +96,6 @@ class AlgorithmSpec:
     stopping: str
     index: IndexConfig
     use_features: bool = True
-    paper_literal_optimized: bool = False
 
     def __post_init__(self):
         if self.j_rule not in _J_CODES:
@@ -132,7 +125,6 @@ class AlgorithmSpec:
 def preset(name: str, *, selection: Optional[str] = None,
            j_rule: Optional[str] = None, b_rule: Optional[str] = None,
            stopping: Optional[str] = None, index_kind: Optional[str] = None,
-           paper_literal_optimized: bool = False,
            label: Optional[str] = None) -> AlgorithmSpec:
     """A named algorithm with optional per-slot overrides; an override left
     None keeps the preset's value."""
@@ -147,8 +139,7 @@ def preset(name: str, *, selection: Optional[str] = None,
     return AlgorithmSpec(
         name=label or key, j_rule=j, b_rule=b, selection=sel, stopping=stop,
         index=IndexConfig(kind=kind, threshold_kind=thr_kind),
-        use_features=use_features,
-        paper_literal_optimized=paper_literal_optimized)
+        use_features=use_features)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +257,7 @@ def stopping_stat(rule: str, J, b: int, c: int, B,
     raise ConfigError(f"unknown stopping rule {rule!r}")
 
 
-def _select(rule: str, b: int, c: int, g, t1, xt, counts, perm, design,
-            literal: bool):
+def _select(rule: str, b: int, c: int, g, t1, xt, counts, perm, design):
     """(a1, a2) to pull for anchor b and challenger c; a2 is -1 except for
     the both-arms rule.
 
@@ -282,12 +272,12 @@ def _select(rule: str, b: int, c: int, g, t1, xt, counts, perm, design,
         return b, c
     if rule == SEL_OPTIMIZED and design is not None:
         w, l1 = design
-        support = (w > 0.0) if literal else (w != 0.0)
+        support = w != 0.0
         if support.any():
             with np.errstate(divide="ignore", invalid="ignore"):
-                score = counts * l1 / (w if literal else np.abs(w))
+                score = counts * l1 / np.abs(w)
             return int(kernels.argbest(score, support.astype(np.uint8), perm,
-                                       1 if literal else 0)), -1
+                                       0)), -1
     y = xt[b] - xt[c]
     vmv = g[b, b] + g[c, c] - 2.0 * g[b, c]
     proj = t1 @ y
@@ -296,7 +286,7 @@ def _select(rule: str, b: int, c: int, g, t1, xt, counts, perm, design,
 
 
 def select_arm(rule: str, b: int, c: int, estimator: EstimatorState,
-               design_solver=None, perm=None, literal: bool = False):
+               design_solver=None, perm=None):
     """Arm(s) to pull given anchor b and challenger c.
 
     Returns an arm id, or the pair (b, c) for the both-arms rule.  The
@@ -324,7 +314,7 @@ def select_arm(rule: str, b: int, c: int, estimator: EstimatorState,
         else:
             design = (np.asarray(dw.weights, dtype=np.float64), dw.l1)
     a1, a2 = _select(rule, b, c, g, t1, estimator._xt, estimator.counts, perm,
-                     design, literal)
+                     design)
     return (a1, a2) if rule == SEL_BOTH_ARMS else a1
 
 
@@ -474,11 +464,6 @@ class _TrialSetup:
             raise ConfigError(
                 "exact identification (epsilon = 0) needs a positive m-th gap"
             )
-        if instance.reward_law == EMPIRICAL_TABLE:
-            for a, row in enumerate(instance.reward_table):
-                if row.size == 0:
-                    raise ConfigError(f"empty reward table for arm {a}")
-
         sigma = instance.sigma
         if spec.use_features:
             xmat = instance.features
@@ -559,8 +544,7 @@ class _TrialSetup:
     def codes(self):
         s = self.spec
         return (_J_CODES[s.j_rule], _B_CODES[s.b_rule], _SEL_CODES[s.selection],
-                _STOP_CODES[s.stopping], s.index.paired_code,
-                1 if s.paper_literal_optimized else 0)
+                _STOP_CODES[s.stopping], s.index.paired_code)
 
     def draw(self, rng, n: int) -> np.ndarray:
         if self.law == kernels.LAW_GAUSSIAN:
@@ -624,7 +608,7 @@ def _trace(segments, m: int, k: int) -> Trace:
 
 def _run_kernel(setup: _TrialSetup, rng) -> RunResult:
     amat, minv, bvec, counts, istate, perm = _init_state(setup, rng)
-    jc, bc, sc, st, paired, lit = setup.codes()
+    jc, bc, sc, st, paired = setup.codes()
     thr = setup.threshold
     thr_args = thr.kernel_args()
     m, k = setup.m, setup.k
@@ -656,7 +640,7 @@ def _run_kernel(setup: _TrialSetup, rng) -> RunResult:
     while True:
         status = kernels.trial_chunk(
             m, setup.epsilon, setup.max_rounds,
-            jc, bc, sc, st, paired, lit,
+            jc, bc, sc, st, paired,
             thr.code, *thr_args,
             setup.law, setup.mu_arms, setup.table, setup.table_len,
             setup.sigma,
@@ -733,7 +717,7 @@ def _run_reference(setup: _TrialSetup, rng) -> RunResult:
                 w = setup.wstar[lo, hi]  # solves X w = x_lo - x_hi
                 design = (-w if b_arm > c_arm else w, setup.wl1[lo, hi])
             a1, a2 = _select(spec.selection, b_arm, c_arm, g, t1, setup.xt,
-                             counts, perm, design, spec.paper_literal_optimized)
+                             counts, perm, design)
         if setup.trace:
             segments.append(([t], [jset], [b_arm], [c_arm], [a1], [a2],
                              [stat], [level], [mu], [wmat]))

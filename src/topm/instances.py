@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .errors import InstanceFormatError
 
 GAUSSIAN_LINEAR = "gaussian-linear"
@@ -72,6 +73,9 @@ class Instance:
                 )
             reward_table = [np.array(row, dtype=np.float64).ravel()
                             for row in reward_table]
+            for a, row in enumerate(reward_table):
+                if row.size == 0:
+                    raise InstanceFormatError(f"empty reward table for arm {a}")
         elif reward_table is not None:
             raise InstanceFormatError("reward_table only valid for empirical-table law")
 
@@ -221,19 +225,18 @@ def make_table_instance(reward_rows, features=None, sigma: float = 0.5) -> Insta
 
 
 def sample_reward(instance: Instance, arm: int, rng) -> float:
-    """One reward draw for an arm under the instance's reward law."""
+    """One reward draw for an arm under the instance's reward law: the
+    trial's kernels.reward on a one-arm view, whose arm 0 is this arm."""
     k = instance.K
     if not 0 <= arm < k:
         raise InstanceFormatError(f"arm {arm} out of range [0, {k})")
     if instance.reward_law == GAUSSIAN_LINEAR:
-        return float(instance.mu[arm] + instance.sigma * rng.standard_normal())
-    row = instance.reward_table[arm]
-    if row.size == 0:
-        raise InstanceFormatError(f"empty reward table for arm {arm}")
-    idx = int(rng.random() * row.size)
-    if idx >= row.size:
-        idx = row.size - 1
-    return float(row[idx])
+        law, u, row = kernels.LAW_GAUSSIAN, rng.standard_normal(), np.zeros(1)
+    else:
+        law, u, row = kernels.LAW_TABLE, rng.random(), instance.reward_table[arm]
+    return float(kernels.reward(0, u, law, instance.mu[arm:arm + 1],
+                                row.reshape(1, -1), np.array([row.size]),
+                                instance.sigma))
 
 
 # ---------------------------------------------------------------------------

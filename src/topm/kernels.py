@@ -215,6 +215,9 @@ SIMPLEX_OK = 0
 SIMPLEX_INFEASIBLE = 1
 SIMPLEX_NUMERICAL = 2
 DESIGN_TOL = 1e-9  # pivot and feasibility tolerance of every design LP
+# largest |(X w - target)_r| an OK answer may leave on row r, relative to
+# the row's scale max(|target_r|, max_a |x_ra w_a|)
+RESIDUAL_TOL = 1e-8
 
 
 @njit(cache=True, nogil=True)
@@ -307,6 +310,24 @@ def _crash_rows(tab, n, c1, c2, tol):
 
 
 @njit(cache=True, nogil=True)
+def _solves(xmat, target, w):
+    """True when X w meets target on every row within RESIDUAL_TOL of the
+    row's scale; summed column by column, as simplex_l1_batch sums it.  A
+    NaN residual fails."""
+    for i in range(xmat.shape[0]):
+        acc = 0.0
+        scale = abs(target[i])
+        for a in range(xmat.shape[1]):
+            term = xmat[i, a] * w[a]
+            acc += term
+            if abs(term) > scale:
+                scale = abs(term)
+        if not abs(acc - target[i]) <= RESIDUAL_TOL * scale:
+            return False
+    return True
+
+
+@njit(cache=True, nogil=True)
 def simplex_l1(xmat, target, tol, first=-1, second=-1):
     """Minimum-L1 solution of X w = target by dense simplex.
 
@@ -322,6 +343,10 @@ def simplex_l1(xmat, target, tol, first=-1, second=-1):
     no phase 1.  A pair whose crash pivot entry is at most tol (the two
     columns parallel, N = 1, a zero column) and any other target (first and
     second -1, the default) get phase 1 from the all-artificial basis.
+
+    An optimal basis whose w misses X w = target on some row (_solves;
+    rounding on a badly scaled X) returns SIMPLEX_NUMERICAL, like every
+    other failure, with w zero.
     """
     n = xmat.shape[0]
     k = xmat.shape[1]
@@ -411,6 +436,8 @@ def simplex_l1(xmat, target, tol, first=-1, second=-1):
             w[col] += val
         elif col < nz:
             w[col - k] -= val
+    if not _solves(xmat, target, w):
+        return SIMPLEX_NUMERICAL, np.zeros(k), 0.0
     return SIMPLEX_OK, w, -tab[n, rhs_col]
 
 
@@ -532,7 +559,8 @@ def simplex_l1_batch(xmat, targets, tol, pairs=None):
     phase 1, and then all of them run in lockstep: one batched pivot per
     step over the LPs still pivoting, in place on the tableau stack.
     Every LP takes the pivots simplex_l1 takes, in the same order and with
-    the same arithmetic (sums row by row, never np.sum or np.einsum), so
+    the same arithmetic (sums row by row, never np.sum or np.einsum), and
+    checks each optimal w against its row residuals as _solves does, so
     status, w and l1 are bit-identical to P scalar calls.  Returns (status,
     w, l1, pivots) with P rows each; pivots counts the _pivot calls
     simplex_l1 makes, crash and drive-out of artificials included.  numpy
@@ -616,6 +644,18 @@ def simplex_l1_batch(xmat, targets, tol, pairs=None):
         w[ids[plus], col[plus]] += val[plus]
         w[ids[minus], col[minus] - k] -= val[minus]
     l1[ids[done]] = -tab[done, n, rhs_col]
+
+    # _solves on every optimal w; accumulate adds the columns in order
+    ok = ids[done]
+    y = targets[ok]
+    terms = (xmat if xmat.ndim == 2 else xmat[ok]) * w[ok][:, None, :]
+    acc = np.add.accumulate(terms, axis=2)[:, :, -1]
+    scale = np.maximum(np.abs(y), np.abs(terms).max(axis=2))
+    with np.errstate(invalid="ignore"):
+        miss = ok[~(np.abs(acc - y) <= RESIDUAL_TOL * scale).all(axis=1)]
+    status[miss] = SIMPLEX_NUMERICAL
+    w[miss] = 0.0
+    l1[miss] = 0.0
     return status, w, l1, pivots
 
 
@@ -717,7 +757,7 @@ def record_pull(a, r, xt, amat, minv, bvec, counts, istate, recompute_every):
 @njit(cache=True, nogil=True)
 def trial_chunk(
     m, epsilon, max_rounds,
-    j_rule, b_rule, sel_rule, stop_rule, paired, literal_opt,
+    j_rule, b_rule, sel_rule, stop_rule, paired,
     thr_kind, delta, n_dim_f, feat_bound, param_bound, lam, sigma, k_arms_f,
     law_kind, mu_arms, table, table_len, noise_sigma,
     wstar, wl1, wok,
@@ -875,22 +915,13 @@ def trial_chunk(
                         wa = wstar[lo, hi, a]
                         if b_arm > c_arm:
                             wa = -wa
-                        if literal_opt == 1:
-                            if wa > 0.0:
-                                sc = counts[a] * l1v / wa
-                                if best < 0 or sc > best_score or (
-                                    sc == best_score and perm[a] < perm[best]
-                                ):
-                                    best = a
-                                    best_score = sc
-                        else:
-                            if wa != 0.0:
-                                sc = counts[a] * l1v / abs(wa)
-                                if best < 0 or sc < best_score or (
-                                    sc == best_score and perm[a] < perm[best]
-                                ):
-                                    best = a
-                                    best_score = sc
+                        if wa != 0.0:
+                            sc = counts[a] * l1v / abs(wa)
+                            if best < 0 or sc < best_score or (
+                                sc == best_score and perm[a] < perm[best]
+                            ):
+                                best = a
+                                best_score = sc
                     if best >= 0:
                         a1 = best
                     else:

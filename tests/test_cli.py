@@ -98,6 +98,9 @@ def test_run_exit_codes(classic_path, tmp_path, capsys):
     # argparse-level: unknown preset
     assert main(["run", "--instance", str(classic_path), "--algo", "nope",
                  "--m", "2"]) == EXIT_USAGE
+    assert main(["run", "--instance", str(classic_path), "--algo",
+                 "m-lingape", "--m", "2", "--selection", "optimized",
+                 "--paper-literal-optimized"]) == EXIT_USAGE
 
 
 def test_complexity_command(classic_path, capsys):
@@ -135,6 +138,8 @@ def test_table3_command(capsys):
     res = complexity_fraction_experiment(6, 2, 0.3, reps=10, seed=3)
     assert f"fraction = {res.fraction:.4f}" in out
     assert f"{res.lps} design LPs, {res.lps_solved} solved" in out
+    assert main(["table3", "--K", "6", "--N", "2", "--D", "0.3",
+                 "--reps", "10", "--workers", "2"]) == EXIT_USAGE
 
 
 def test_help_and_bad_usage():

@@ -12,7 +12,7 @@ from topm import kernels
 from topm._jit import NUMBA_ENABLED
 from topm.complexity import (_CUT_SLACK, H_KINDS, H_LUCB, H_MLINGAPE_1,
                              H_MLINGAPE_2, H_UGAPE, FractionResult,
-                             _fraction_outcome, _fraction_outcomes,
+                             _fraction_outcomes,
                              _pair_order, complexity_fraction_experiment,
                              h_constant, sample_complexity_bound,
                              solve_l1_design)
@@ -264,10 +264,12 @@ def test_batch_simplex_equals_scalar_simplex(monkeypatch, label, x, targets):
         assert (status == kernels.SIMPLEX_INFEASIBLE).all()
     elif label == "huge entry":
         assert (status == kernels.SIMPLEX_NUMERICAL).any()
+    elif label == "NaN entry":
+        # a NaN in X leaves every row residual NaN: no answer passes
+        assert (status == kernels.SIMPLEX_NUMERICAL).all()
     else:
         assert (status == kernels.SIMPLEX_OK).all()
-    # NaN ratios reach the leaving-row scan: NaN weights come out
-    assert np.isnan(w).any() == (label == "NaN entry")
+    assert not np.isnan(w).any()
 
 
 def _mixed_systems(n):
@@ -310,11 +312,12 @@ def test_batch_simplex_with_per_lp_matrices(monkeypatch, n):
         assert np.float64(l1[p]).tobytes() == np.float64(ls).tobytes(), p
         if not NUMBA_ENABLED:  # a jitted simplex_l1 does not call the wrapper
             assert pivots[p] == len(calls), p
-    # 45 pairs per system: the first three solve, the NaN entry gives NaN
-    # weights and the 1e200 entry fails some LPs
+    # 45 pairs per system: the first three solve, the NaN entry fails the
+    # residual check on every LP and the 1e200 entry fails some LPs
     assert (status[:135] == kernels.SIMPLEX_OK).all()
+    assert (status[135:180] == kernels.SIMPLEX_NUMERICAL).all()
     assert (status[180:] == kernels.SIMPLEX_NUMERICAL).any()
-    assert np.isnan(w[135:180]).any() and not np.isnan(w[:135]).any()
+    assert not np.isnan(w).any()
     monkeypatch.setattr(kernels, "_BATCH_TABLEAU_BYTES", 20000)
     chunked = kernels.simplex_l1_many(xs, targets, 1e-9)
     monkeypatch.setattr(kernels, "NUMBA_ENABLED", True)
@@ -385,8 +388,11 @@ def test_pair_lps_batch_equals_scalar(monkeypatch, label, x):
         if not NUMBA_ENABLED:  # a jitted simplex_l1 does not call the wrappers
             assert pivots[p] == len(calls), p
             phase1.append(len(phases) == 2)  # phase 2 follows phase 1
-    assert (status == kernels.SIMPLEX_OK).all()
-    assert np.isnan(w).any() == (label == "NaN entry")
+    if label == "NaN entry":
+        assert (status == kernels.SIMPLEX_NUMERICAL).all()
+    else:
+        assert (status == kernels.SIMPLEX_OK).all()
+    assert not np.isnan(w).any()
     if not NUMBA_ENABLED:
         # x_5 = x_2 and x_6 = -2 x_1: the crash pivot on v_j vanishes for
         # those pairs; a zero column's v_j has no entry at all; at N = 1
@@ -404,6 +410,35 @@ def test_pair_lps_batch_equals_scalar(monkeypatch, label, x):
         looped = kernels.simplex_l1_many(x, targets, 1e-9, pairs)
     for whole, a, b in zip((status, w, l1), chunked, looped):
         assert whole.tobytes() == a.tobytes() == b.tobytes()
+
+
+def test_ok_answers_are_feasible_on_a_badly_scaled_system():
+    """x[2, 3] = 1e200 makes the pivots round, and an optimal basis can
+    hold a w that misses X w = y on the well-scaled rows 0, 1 and 3, where
+    e_i - e_j meets them exactly.  The residual check turns such answers
+    into SIMPLEX_NUMERICAL in the scalar and batch solvers alike, started
+    cold or at e_i - e_j: every OK answer is feasible on those rows."""
+    pairs = np.array(list(itertools.permutations(range(7), 2))).T
+    solved = {"cold": 0, "pair": 0}
+    for seed in range(20):
+        x = np.random.default_rng(seed).standard_normal((4, 7))
+        x[2, 3] = 1e200
+        targets = np.ascontiguousarray((x[:, pairs[0]] - x[:, pairs[1]]).T)
+        for form, given in (("cold", None), ("pair", pairs)):
+            with np.errstate(all="ignore"):
+                status, w, l1, _ = kernels.simplex_l1_batch(x, targets, 1e-9,
+                                                            given)
+            for p, (i, j) in enumerate(pairs.T):
+                ij = (i, j) if form == "pair" else (-1, -1)
+                with np.errstate(all="ignore"):
+                    s, ws, ls = kernels.simplex_l1(x, targets[p], 1e-9, *ij)
+                assert status[p] == s and w[p].tobytes() == ws.tobytes()
+                if s == kernels.SIMPLEX_OK:
+                    miss = (x @ ws - targets[p])[[0, 1, 3]]
+                    assert np.abs(miss).max() <= 1e-6, (seed, form, i, j)
+                    solved[form] += 1
+    # the check refuses only the answers that miss: most LPs still solve
+    assert solved["cold"] > 600 and solved["pair"] > 800
 
 
 def test_pair_lps_match_basis_enumeration():
@@ -686,8 +721,8 @@ def test_fraction_decision_exact_at_near_ties():
     cut_below, cut_above = bracket(2e-9)
     for inst in (tie_below, tie_above, cut_below, cut_above):
         h2, hu = _full_comparison(inst, m)
-        assert _fraction_outcome(inst, m) == (int(h2 <= hu), 10)
-    assert _fraction_outcome(tie_below, m)[0] == 1
-    assert _fraction_outcome(tie_above, m)[0] == 0
+        assert _fraction_outcomes([inst], m)[0][:2] == (int(h2 <= hu), 10)
+    assert _fraction_outcomes([tie_below], m)[0][0] == 1
+    assert _fraction_outcomes([tie_above], m)[0][0] == 0
     h2, hu = _full_comparison(cut_above, m)
     assert h2 > hu * (1.0 + _CUT_SLACK)  # so the bound crossed, at pair 10

@@ -281,6 +281,8 @@ def test_preset_wiring():
 
     with pytest.raises(ConfigError):
         preset("nope")
+    with pytest.raises(TypeError):
+        preset("m-lingape", paper_literal_optimized=True)
 
     # every row in full: (J, b, selection, stopping, index kind, threshold
     # kind, use_features)
@@ -304,7 +306,6 @@ def test_preset_wiring():
                 spec.index.kind, spec.index.threshold_kind,
                 spec.use_features) == row
         assert spec.index.threshold is None
-        assert not spec.paper_literal_optimized
         # the init pass runs exactly where lambda = 0, the feature-blind case
         assert spec.init_pass == (not spec.use_features)
         # an override of None keeps the preset's value
@@ -394,7 +395,7 @@ ALGO_VARIANTS = [
     ("m-lingape", {"selection": SEL_OPTIMIZED}),
     ("m-lingape", {"selection": SEL_LARGEST_VARIANCE}),
     ("m-lingape", {"selection": SEL_BOTH_ARMS}),
-    ("m-lingape", {"selection": SEL_OPTIMIZED, "paper_literal_optimized": True}),
+    ("m-lingape", {"selection": SEL_OPTIMIZED, "index_kind": "individual"}),
     ("lingifa", {}),
     ("lingifa", {"selection": SEL_GREEDY}),
     ("lingifa", {"index_kind": "individual"}),
@@ -410,18 +411,14 @@ def assert_engines_agree(spec, inst, seed, **kw):
     rule functions agree bit for bit: tau, recommendation, counts,
     statistic, and every trace field.
 
-    The literal-formula optimized rule re-selects its own argmax forever
-    (pull count feeds the score), so it never stops; it is capped and the
-    truncated prefixes compared.  Every other trial here stops well inside
-    its cap, which keeps a trial that no longer stops from filling memory
-    with its trace.
+    Every trial here stops well inside its cap, which keeps a trial that no
+    longer stops from filling memory with its trace.
     """
-    literal = spec.paper_literal_optimized
-    kw = dict(kw, trace=True, max_rounds=400 if literal else 20_000)
+    kw = dict(kw, trace=True, max_rounds=20_000)
     a = run_trial(spec, inst, 2, 0.0, 0.05, seed=seed, engine="kernel", **kw)
     b = run_trial(spec, inst, 2, 0.0, 0.05, seed=seed, engine="reference", **kw)
     label = spec.describe()
-    assert a.truncated == literal, label
+    assert not a.truncated, label
     assert a.tau == b.tau, label
     assert a.recommendation == b.recommendation, label
     assert a.truncated == b.truncated, label
@@ -444,19 +441,15 @@ def test_kernel_matches_reference_loop(name, over):
 
 
 def test_kernel_matches_reference_on_every_rule_combination():
-    """Every (J, b, selection, stop) rule with both width kinds, the literal
-    optimized rule included."""
+    """Every (J, b, selection, stop) rule with both width kinds."""
     inst = make_classic_instance(5, 2, 0.9, sigma=0.5)
-    selections = [(SEL_LARGEST_VARIANCE, False), (SEL_GREEDY, False),
-                  (SEL_OPTIMIZED, False), (SEL_OPTIMIZED, True),
-                  (SEL_BOTH_ARMS, False)]
-    for j_rule, b_rule, (selection, literal), stopping, kind in itertools.product(
+    for j_rule, b_rule, selection, stopping, kind in itertools.product(
             (J_TOP_M_EMPIRICAL, J_MIN_MAX_INDEX),
-            (B_MAX_OVER_OUTSIDE, B_MAX_OVER_MTH), selections,
+            (B_MAX_OVER_OUTSIDE, B_MAX_OVER_MTH),
+            (SEL_LARGEST_VARIANCE, SEL_GREEDY, SEL_OPTIMIZED, SEL_BOTH_ARMS),
             (STOP_LUCB, STOP_UGAPE), ("paired", "individual")):
         spec = preset("m-lingape", j_rule=j_rule, b_rule=b_rule,
-                      selection=selection, stopping=stopping, index_kind=kind,
-                      paper_literal_optimized=literal)
+                      selection=selection, stopping=stopping, index_kind=kind)
         assert_engines_agree(spec, inst, (0, 7), lam=0.025)
 
 

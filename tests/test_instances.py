@@ -137,6 +137,19 @@ def test_save_load_round_trip_table(tmp_path):
     assert [list(r) for r in back.reward_table] == [[0.9, 0.7], [0.2, 0.4, 0.0]]
 
 
+def test_empty_reward_row_is_refused_at_construction_and_load(tmp_path):
+    rows = [[0.9], [], [0.1]]
+    with pytest.raises(InstanceFormatError, match="empty reward table for arm 1"):
+        Instance(np.eye(3), 0.5, mu=[0.9, 0.5, 0.1], reward_law=EMPIRICAL_TABLE,
+                 reward_table=rows)
+    # a file written by hand with arm 1's rewards row left empty
+    path = save_instance(make_table_instance([[0.9], [0.5], [0.1]]),
+                         tmp_path / "table.csv")
+    (tmp_path / "table_rewards.csv").write_text("0,0.9\n1\n2,0.1\n")
+    with pytest.raises(InstanceFormatError, match="empty reward table for arm 1"):
+        load_instance(path)
+
+
 def test_load_rejects_malformed_files(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("arm,f1\n0,1.0\n")
